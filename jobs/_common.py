@@ -6,21 +6,9 @@ import sys
 # allow running as `python jobs/tableX.py` without installing
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from pyspark.sql import SparkSession  # noqa: E402
+from repro.session import spark_session  # noqa: E402,F401  (used by the jobs)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-
-
-def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions",
-                os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .config("spark.ui.showConsoleProgress", "false")
-        .getOrCreate()
-    )
 
 
 def arg_parser(desc: str, n_nodes_default: int = 3000) -> argparse.ArgumentParser:

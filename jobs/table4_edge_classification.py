@@ -5,7 +5,7 @@ for ProbWP, Economix, XGBoost, LoCEC-XGB and LoCEC-CNN on the
 
     python jobs/table4_edge_classification.py [--n-nodes 3000] [--cnn-epochs 80]
 """
-from _common import arg_parser, emit, get_spark
+from _common import arg_parser, emit, spark_session
 
 
 def main():
@@ -19,7 +19,7 @@ def main():
     )
     args = ap.parse_args()
 
-    spark = get_spark("table4")
+    spark = spark_session("table4")
     spark.sparkContext.setLogLevel("ERROR")
     from repro.core.tables import table4
 

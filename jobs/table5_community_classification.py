@@ -5,7 +5,7 @@ vote of labeled ego↔member edges), 80/20 split.
 
     python jobs/table5_community_classification.py [--n-nodes 3000]
 """
-from _common import arg_parser, emit, get_spark
+from _common import arg_parser, emit, spark_session
 
 
 def main():
@@ -13,7 +13,7 @@ def main():
     ap.add_argument("--cnn-epochs", type=int, default=80)
     args = ap.parse_args()
 
-    spark = get_spark("table5")
+    spark = spark_session("table5")
     spark.sparkContext.setLogLevel("ERROR")
     from repro.core.tables import table5
 

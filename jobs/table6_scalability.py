@@ -12,7 +12,7 @@ import time
 
 import pandas as pd
 
-from _common import arg_parser, emit, get_spark
+from _common import arg_parser, emit, spark_session
 
 
 def main():
@@ -28,7 +28,7 @@ def main():
     )
     args = ap.parse_args()
 
-    spark = get_spark("table6")
+    spark = spark_session("table6")
     spark.sparkContext.setLogLevel("ERROR")
     from repro.core.tables import table6
     from repro.core.experiment import make_experiment

@@ -1,18 +1,17 @@
 """Phase II — community classification (paper Sec. IV-B).
 
-Dataflow:
+Algorithm 1's k×(|I|+|f|) feature matrix and the mean/std pooled vector
+of every local community are built in Phase I's per-ego UDF
+(:func:`repro.core.communities.member_features`) and read through
+:func:`repro.core.communities.community_frame`. This module then runs:
 
-1. :func:`community_matrices` — grouped pandas UDF per (ego, comm_id)
-   that assembles Algorithm 1's k×(|I|+|f|) feature matrix (flattened
-   to an array column) and the mean/std pooled vector used by the
-   XGBoost variant.
-2. :func:`community_labels` — ground-truth labels for the communities
+1. :func:`community_labels` — ground-truth labels for the communities
    that contain labeled edges: the majority relationship type between
    the ego and the community's labeled members (paper Sec. V-C).
-3. :func:`train_community_model` — driver-side training of CommCNN or
+2. :func:`train_community_model` — driver-side training of CommCNN or
    the GBDT on the labeled communities (the paper trains its model
    beforehand on the survey set, then broadcasts it to 100 servers).
-4. :func:`classify_communities` — distributed inference via
+3. :func:`classify_communities` — distributed inference via
    mapInPandas with the model weights broadcast to executors; emits
    class probabilities and the Phase III embedding ``r^C`` (softmax
    vector for CommCNN, leaf values for GBDT — paper Sec. IV-C).
@@ -28,48 +27,18 @@ from pyspark.sql.window import Window
 from repro.core import features as FT
 from repro.ml.cnn import CNNConfig, CommCNN
 from repro.ml.gbdt import GBDT
-from repro.socialnet.generator import MAJOR_TYPES, USER_FEATURES
+from repro.socialnet.generator import MAJOR_TYPES
 
 #: class-index mapping used everywhere (fixed order: colleague, family, schoolmate)
 LABEL_TO_IDX = {t: i for i, t in enumerate(MAJOR_TYPES)}
 IDX_TO_LABEL = {i: t for t, i in LABEL_TO_IDX.items()}
 
-MATRIX_SCHEMA = (
-    "ego long, comm_id int, size int, matrix array<double>, pooled array<double>"
-)
 PROB_COLS = [f"p_{t}" for t in MAJOR_TYPES]
 RESULT_SCHEMA = (
     "ego long, comm_id int, "
     + ", ".join(f"{c} double" for c in PROB_COLS)
     + ", emb array<double>"
 )
-
-
-def community_matrices(
-    member_df: DataFrame, users: DataFrame, k: int = 20
-) -> DataFrame:
-    """One row per local community with its feature matrix + pooled vector."""
-
-    def build(pdf: pd.DataFrame) -> pd.DataFrame:
-        mat = FT.build_matrix(pdf, k)
-        return pd.DataFrame(
-            {
-                "ego": [pdf["ego"].iloc[0]],
-                "comm_id": [pdf["comm_id"].iloc[0]],
-                "size": [len(pdf)],
-                "matrix": [mat.ravel().tolist()],
-                "pooled": [FT.pooled_vector(pdf).tolist()],
-            }
-        )
-
-    with_user_feats = member_df.join(
-        users.select(F.col("user_id").alias("member"), *USER_FEATURES),
-        on="member",
-        how="left",
-    ).na.fill({c: 0.0 for c in USER_FEATURES})
-    return with_user_feats.groupBy("ego", "comm_id").applyInPandas(
-        build, schema=MATRIX_SCHEMA
-    )
 
 
 def community_labels(member_df: DataFrame, labeled_edges: DataFrame) -> DataFrame:
@@ -117,9 +86,12 @@ def train_community_model(
 ):
     """Train the Phase II classifier on collected labeled communities.
 
-    ``labeled`` is a pandas frame with columns matrix, pooled, label
-    (strings from MAJOR_TYPES). Returns the fitted model.
+    ``labeled`` is a pandas frame with columns ego, comm_id, matrix,
+    pooled, label (strings from MAJOR_TYPES). Rows are put in (ego,
+    comm_id) order first, so the model does not depend on the order in
+    which Spark collected them. Returns the fitted model.
     """
+    labeled = labeled.sort_values(["ego", "comm_id"])
     y = labeled["label"].map(LABEL_TO_IDX).to_numpy()
     if variant == "cnn":
         X = np.stack(
@@ -136,7 +108,11 @@ def train_community_model(
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def _predict_batch(model, variant: str, pdf: pd.DataFrame, k: int) -> pd.DataFrame:
+def predict_communities(
+    model, variant: str, pdf: pd.DataFrame, k: int
+) -> pd.DataFrame:
+    """(ego, comm_id, p_*, emb) for the communities in ``pdf`` (columns
+    ego, comm_id and the variant's matrix or pooled)."""
     if variant == "cnn":
         X = np.stack(
             [np.asarray(m).reshape(k, FT.MATRIX_WIDTH) for m in pdf["matrix"]]
@@ -175,6 +151,6 @@ def classify_communities(
             mdl = b["params"]  # GBDT pickles whole (pure-python trees)
         for pdf in batches:
             if len(pdf):
-                yield _predict_batch(mdl, b["variant"], pdf, b["k"])
+                yield predict_communities(mdl, b["variant"], pdf, b["k"])
 
     return matrices.mapInPandas(infer, schema=RESULT_SCHEMA)

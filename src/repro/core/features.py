@@ -44,50 +44,43 @@ def community_member_features(
     """
     members = np.asarray(members)
     comm_ids = np.array([comm_of[u] for u in members])
-    # degree inside the ego network: friend(u, G_v)
-    deg_ego = pd.concat([ego_edges["src"], ego_edges["dst"]]).value_counts().to_dict()
-    # same-community edge mask
-    e_src_comm = ego_edges["src"].map(comm_of)
-    e_dst_comm = ego_edges["dst"].map(comm_of)
-    same = (e_src_comm == e_dst_comm).to_numpy()
-    intra = ego_edges[same]
-    intra_comm = e_src_comm[same].to_numpy()
-
+    comms, comm_idx, sizes = np.unique(comm_ids, return_inverse=True, return_counts=True)
+    node_idx = pd.Index(members)
+    src = node_idx.get_indexer(ego_edges["src"])
+    dst = node_idx.get_indexer(ego_edges["dst"])
+    # friend(u, G_v): degree inside the ego network
+    deg_ego = np.bincount(np.concatenate([src, dst]), minlength=len(members))
+    # same-community edges
+    same = comm_idx[src] == comm_idx[dst]
+    s, d = src[same], dst[same]
     # friend(u, C): degree restricted to same-community edges
-    deg_comm = pd.concat([intra["src"], intra["dst"]]).value_counts().to_dict()
+    deg_comm = np.bincount(np.concatenate([s, d]), minlength=len(members))
 
     # Eq. 1 numerator: per member, per dim, sum of interactions on
-    # intra-community edges incident to the member
-    num = {u: np.zeros(len(INTERACTION_DIMS)) for u in members}
-    ivals = intra[INTERACTION_DIMS].to_numpy(dtype=float) if len(intra) else np.zeros((0, len(INTERACTION_DIMS)))
-    for row, s, d in zip(ivals, intra["src"].to_numpy(), intra["dst"].to_numpy()):
-        num[s] += row
-        num[d] += row
+    # intra-community edges incident to the member, added edge by edge
+    # (src, then dst) in edge order
+    ivals = ego_edges.loc[same, INTERACTION_DIMS].to_numpy(dtype=float)
+    num = np.zeros((len(members), len(INTERACTION_DIMS)))
+    np.add.at(num, np.column_stack([s, d]).ravel(), np.repeat(ivals, 2, axis=0))
     # Eq. 1 denominator: total volume per dim inside each community
-    denom_by_comm: dict = {}
-    for cid in set(comm_ids):
-        mask = intra_comm == cid
-        denom_by_comm[cid] = ivals[mask].sum(axis=0) if mask.any() else np.zeros(len(INTERACTION_DIMS))
+    denom = np.zeros((len(comms), len(INTERACTION_DIMS)))
+    np.add.at(denom, comm_idx[s], ivals)
+    denom = denom[comm_idx]
 
-    sizes = pd.Series(comm_ids).value_counts()
-    rows = []
-    for u, cid in zip(members, comm_ids):
-        size = int(sizes[cid])
-        fc = float(deg_comm.get(u, 0))
-        fe = float(deg_ego.get(u, 0))
-        if size == 1:
-            tight = 1.0  # Eq. 3 special case
-        else:
-            tight = (fc / fe if fe else 0.0) * (fc / (size - 1))
-        denom = denom_by_comm[cid]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = np.where(denom > 0, num[u] / denom, 0.0)
-        rows.append(
-            {"member": u, "comm_id": int(cid), "comm_size": size,
-             "tightness": float(tight),
-             **{c: float(v) for c, v in zip(X_COLS, x)}}
+    size = sizes[comm_idx]
+    fc, fe = deg_comm.astype(float), deg_ego.astype(float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tight = np.where(
+            size == 1,
+            1.0,  # Eq. 3 special case
+            np.where(fe > 0, fc / fe, 0.0) * (fc / (size - 1)),
         )
-    return pd.DataFrame(rows)
+        x = np.where(denom > 0, num / denom, 0.0)
+    out = pd.DataFrame(
+        {"member": members, "comm_id": comm_ids, "comm_size": size, "tightness": tight}
+    )
+    out[X_COLS] = x
+    return out
 
 
 def build_matrix(comm_feats: pd.DataFrame, k: int) -> np.ndarray:

@@ -3,7 +3,9 @@
 ``run_locec`` wires the three phases over Spark DataFrames:
 
 - Phase I  (*division*):    ego networks + Girvan–Newman communities,
-- Phase II (*aggregation*): community feature matrices + CommCNN/GBDT,
+  with every community's Eq. 1/3 features and Algorithm 1 matrix built
+  in the same per-ego pass,
+- Phase II (*aggregation*): community labels + CommCNN/GBDT,
 - Phase III (*combination*): Eq. 4 edge features + logistic regression,
 
 forcing materialization at each phase boundary so the wall-clock split
@@ -20,12 +22,16 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import comm_classify as CC
 from repro.core import edge_features as EF
-from repro.core.communities import member_features
+from repro.core.communities import community_frame, member_features
 
 
 @dataclass
 class LocecResult:
-    """Artifacts of one end-to-end run (cached Spark frames + models)."""
+    """Artifacts of one end-to-end run (Spark frames + models).
+
+    ``member_df``, ``comm_results`` and ``edge_pred`` are cached;
+    ``matrices`` is :func:`community_frame`'s projection of ``member_df``.
+    """
 
     member_df: DataFrame
     matrices: DataFrame
@@ -63,14 +69,13 @@ def run_locec(
 
     # ---- Phase I: division -----------------------------------------
     t0 = time.perf_counter()
-    member_df = member_features(spark, edges, interactions).cache()
+    member_df = member_features(spark, edges, interactions, users, k=k).cache()
     member_df.count()
     timings["phase1"] = time.perf_counter() - t0
 
     # ---- Phase II: aggregation -------------------------------------
     t0 = time.perf_counter()
-    matrices = CC.community_matrices(member_df, users, k=k).cache()
-    matrices.count()
+    matrices = community_frame(member_df)
     labels = CC.community_labels(member_df, train_edges)
     labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
 
@@ -102,6 +107,7 @@ def run_locec(
 
     edge_pred = EF.classify_edges(spark, feats, edge_model).cache()
     edge_pred.count()
+    feats.unpersist()
     timings["phase3"] = time.perf_counter() - t0 - lr_train
     timings["total"] = timings["phase1"] + timings["phase2"] + timings["phase3"]
 

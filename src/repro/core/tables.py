@@ -17,7 +17,7 @@ from repro.baselines.economix import Economix
 from repro.baselines.probwp import ProbWP
 from repro.baselines.xgboost_edge import XGBoostEdge
 from repro.core import comm_classify as CC
-from repro.core.communities import member_features
+from repro.core.communities import community_frame, member_features
 from repro.core.experiment import Experiment, make_experiment, score_edge_predictions
 from repro.core.locec import run_locec
 from repro.ml.metrics import prf_table
@@ -148,11 +148,15 @@ def table5(
     ground truth.
     """
     ex = experiment or make_experiment(spark, n_nodes=n_nodes, seed=seed)
-    member_df = member_features(spark, ex.edges, ex.interactions).cache()
-    matrices = CC.community_matrices(member_df, ex.users, k=20)
+    member_df = member_features(spark, ex.edges, ex.interactions, ex.users, k=20).cache()
+    matrices = community_frame(member_df)
     labels = CC.community_labels(member_df, spark.createDataFrame(ex.labeled))
     labels = labels.filter(labels["n_votes"] >= min_votes)
-    labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
+    labeled = (
+        matrices.join(labels, on=["ego", "comm_id"])
+        .toPandas()
+        .sort_values(["ego", "comm_id"], ignore_index=True)
+    )
 
     g = np.random.default_rng(seed)
     is_train = g.random(len(labeled)) < train_frac
@@ -163,7 +167,7 @@ def table5(
         model = CC.train_community_model(
             train_pd, variant=variant, k=20, seed=seed, cnn_epochs=cnn_epochs
         )
-        pred = CC._predict_batch(model, variant, test_pd, k=20)
+        pred = CC.predict_communities(model, variant, test_pd, k=20)
         pred_lab = (
             pred[CC.PROB_COLS].to_numpy().argmax(axis=1)
         )

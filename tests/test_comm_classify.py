@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import comm_classify as CC
 from repro.core import features as FT
-from repro.core.communities import member_features
+from repro.core.communities import community_frame, member_features
 from repro.oracle import assert_equivalent
 from repro.socialnet.generator import MAJOR_TYPES, NetConfig, generate, to_spark
 
@@ -15,10 +15,9 @@ from repro.socialnet.generator import MAJOR_TYPES, NetConfig, generate, to_spark
 def setup(spark):
     net = generate(NetConfig(n_nodes=250, seed=29))
     edges, inter, users = to_spark(spark, net)
-    member_df = member_features(spark, edges, inter).cache()
+    member_df = member_features(spark, edges, inter, users, k=10).cache()
     member_df.count()
-    matrices = CC.community_matrices(member_df, users, k=10).cache()
-    matrices.count()
+    matrices = community_frame(member_df)
     return net, edges, users, member_df, matrices
 
 
@@ -95,13 +94,33 @@ def test_train_and_distributed_inference_agree(spark, setup, variant):
         .reset_index(drop=True)
     )
     local_in = matrices.toPandas().sort_values(["ego", "comm_id"]).reset_index(drop=True)
-    local = CC._predict_batch(model, variant, local_in, k=10)
+    local = CC.predict_communities(model, variant, local_in, k=10)
     assert np.allclose(
         dist[CC.PROB_COLS].to_numpy(), local[CC.PROB_COLS].to_numpy(), atol=1e-9
     )
     # embeddings agree too (r^C used by Phase III)
     for a, b in zip(dist["emb"], local["emb"]):
         assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-9)
+
+
+@pytest.mark.parametrize("variant", ["xgb", "cnn"])
+def test_training_ignores_row_order(spark, setup, variant):
+    """The model must not depend on the order Spark collects rows in."""
+    net, edges, users, member_df, matrices = setup
+    labeled_edges = spark.createDataFrame(
+        net.edges[net.edges["label"].isin(MAJOR_TYPES)]
+    )
+    labels = CC.community_labels(member_df, labeled_edges)
+    labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
+
+    def probs(frame):
+        model = CC.train_community_model(
+            frame, variant=variant, k=10, seed=0, cnn_epochs=3, gbdt_rounds=5
+        )
+        return CC.predict_communities(model, variant, labeled, k=10)[CC.PROB_COLS]
+
+    shuffled = labeled.sample(frac=1.0, random_state=5)
+    assert np.array_equal(probs(labeled).to_numpy(), probs(shuffled).to_numpy())
 
 
 def test_probs_are_distributions(spark, setup):

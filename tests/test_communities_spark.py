@@ -5,7 +5,7 @@ import pandas as pd
 import pytest
 
 from repro.core import features as FT
-from repro.core.communities import community_sizes, member_features
+from repro.core.communities import community_frame, community_sizes, member_features
 from repro.core.girvan_newman import girvan_newman
 from repro.oracle import assert_equivalent
 from repro.socialnet.generator import INTERACTION_DIMS, NetConfig, generate, to_spark
@@ -88,3 +88,38 @@ def test_comm_sizes_oracle(spark, member_pdf):
 def test_singletons_have_tightness_one(member_pdf):
     singles = member_pdf[member_pdf["comm_size"] == 1]
     assert (singles["tightness"] == 1.0).all()
+
+
+def _collected(df, key):
+    """``df`` as pandas in ``key`` order, array columns as tuples."""
+    pdf = df.toPandas().sort_values(key, ignore_index=True)
+    for c in ("matrix", "pooled"):
+        pdf[c] = pdf[c].map(lambda v: None if v is None else tuple(v))
+    return pdf
+
+
+def test_outputs_independent_of_shuffle_partitions(spark):
+    """Member rows and the community rows riding on them must not change
+    with the number of shuffle partitions (AQE coalescing off, so 8
+    really means 8)."""
+    net = generate(NetConfig(n_nodes=120, seed=37))
+    keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    saved = {c: spark.conf.get(c) for c in keys}
+    runs = []
+    try:
+        spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
+        for n in (1, 8):
+            spark.conf.set("spark.sql.shuffle.partitions", n)
+            edges, inter, users = to_spark(spark, net)
+            member_df = member_features(spark, edges, inter, users, k=10)
+            runs.append((
+                _collected(member_df, ["ego", "member"]),
+                _collected(community_frame(member_df), ["ego", "comm_id"]),
+            ))
+    finally:
+        for c, v in saved.items():
+            spark.conf.set(c, v)
+    (members_1, comms_1), (members_8, comms_8) = runs
+    assert len(comms_1) == members_1.groupby(["ego", "comm_id"]).ngroups
+    pd.testing.assert_frame_equal(members_1, members_8, check_exact=True)
+    pd.testing.assert_frame_equal(comms_1, comms_8, check_exact=True)

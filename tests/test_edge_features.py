@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import comm_classify as CC
 from repro.core import edge_features as EF
-from repro.core.communities import member_features
+from repro.core.communities import community_frame, member_features
 from repro.socialnet.generator import MAJOR_TYPES, NetConfig, generate, to_spark
 
 
@@ -13,8 +13,8 @@ from repro.socialnet.generator import MAJOR_TYPES, NetConfig, generate, to_spark
 def setup(spark):
     net = generate(NetConfig(n_nodes=220, seed=31))
     edges, inter, users = to_spark(spark, net)
-    member_df = member_features(spark, edges, inter).cache()
-    matrices = CC.community_matrices(member_df, users, k=10)
+    member_df = member_features(spark, edges, inter, users, k=10).cache()
+    matrices = community_frame(member_df)
     labeled_edges = spark.createDataFrame(
         net.edges[net.edges["label"].isin(MAJOR_TYPES)]
     )

@@ -1,6 +1,7 @@
 """End-to-end integration tests of Algorithm 2 (both variants)."""
 import numpy as np
 import pytest
+from pyspark.sql import DataFrame
 
 from repro.core.experiment import make_experiment, score_edge_predictions
 from repro.core.locec import run_locec
@@ -75,3 +76,23 @@ def test_probability_columns_valid(result_cnn):
     pdf = result_cnn.edge_pred.toPandas()
     probs = pdf[[f"p_{t}" for t in MAJOR_TYPES]].to_numpy()
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+
+
+def test_result_frames_hold_every_cached_frame(spark):
+    """Unpersisting the returned frames releases everything the run cached.
+
+    Its own small network: frames with the same plan as the fixtures'
+    would share their cache entries.
+    """
+    ex = make_experiment(spark, n_nodes=150, seed=11)
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    start = persistent().size()
+    res = run_locec(
+        spark, ex.edges, ex.interactions, ex.users, ex.train_df(spark),
+        variant="xgb", gbdt_rounds=2, lr_epochs=10,
+    )
+    assert persistent().size() > start
+    for v in vars(res).values():
+        if isinstance(v, DataFrame):
+            v.unpersist(blocking=True)
+    assert persistent().size() == start
