@@ -12,9 +12,10 @@ of every local community are built in Phase I's per-ego UDF
    the GBDT on the labeled communities (the paper trains its model
    beforehand on the survey set, then broadcasts it to 100 servers).
 3. :func:`classify_communities` — distributed inference via
-   mapInPandas with the model weights broadcast to executors; emits
-   class probabilities and the Phase III embedding ``r^C`` (softmax
-   vector for CommCNN, leaf values for GBDT — paper Sec. IV-C).
+   mapInPandas. Every model ships one way: its ``get_params`` arrays
+   are broadcast to executors and rebuilt there with ``from_params``.
+   Emits class probabilities and the Phase III embedding ``r^C``
+   (softmax vector for CommCNN, leaf values for GBDT — paper Sec. IV-C).
 """
 from __future__ import annotations
 
@@ -137,20 +138,15 @@ def classify_communities(
     variant: str,
     k: int = 20,
 ) -> DataFrame:
-    """Distributed Phase II inference with broadcast model weights."""
-    params = model.get_params() if variant == "cnn" else model
-    bc = spark.sparkContext.broadcast(
-        {"variant": variant, "params": params, "k": k}
-    )
+    """Distributed Phase II inference: the model's ``get_params`` arrays
+    are broadcast and rebuilt on each executor with ``from_params``."""
+    cls = type(model)
+    bc = spark.sparkContext.broadcast(model.get_params())
 
     def infer(batches):
-        b = bc.value
-        if b["variant"] == "cnn":
-            mdl = CommCNN.from_params(b["params"])
-        else:
-            mdl = b["params"]  # GBDT pickles whole (pure-python trees)
+        mdl = cls.from_params(bc.value)
         for pdf in batches:
             if len(pdf):
-                yield predict_communities(mdl, b["variant"], pdf, b["k"])
+                yield predict_communities(mdl, variant, pdf, k)
 
     return matrices.mapInPandas(infer, schema=RESULT_SCHEMA)

@@ -104,9 +104,3 @@ def community_frame(member_df: DataFrame) -> DataFrame:
         "ego", "comm_id", F.col("comm_size").alias("size"), "matrix", "pooled"
     )
 
-
-def community_sizes(member_df: DataFrame) -> DataFrame:
-    """(ego, comm_id, size) for every detected local community."""
-    return member_df.groupBy("ego", "comm_id").agg(
-        F.count("member").alias("size")
-    )

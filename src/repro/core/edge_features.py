@@ -79,9 +79,12 @@ def train_edge_model(
 ) -> LogisticRegression:
     """Fit the Phase III LR on collected labeled-edge features.
 
-    ``feat_pdf``: columns features (list<double>) and label (strings
-    from MAJOR_TYPES).
+    ``feat_pdf``: columns src, dst, features (list<double>) and label
+    (strings from MAJOR_TYPES). Rows are put in (src, dst) order first:
+    full-batch Adam's sums depend on row order, and the model must not
+    depend on the order in which Spark collected them.
     """
+    feat_pdf = feat_pdf.sort_values(["src", "dst"])
     X = np.stack([np.asarray(f) for f in feat_pdf["features"]])
     y = feat_pdf["label"].map({t: i for i, t in enumerate(MAJOR_TYPES)}).to_numpy()
     return LogisticRegression(n_classes=len(MAJOR_TYPES), seed=seed, epochs=epochs).fit(X, y)

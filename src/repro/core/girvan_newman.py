@@ -1,9 +1,10 @@
 """Girvan–Newman community detection (paper Phase I, ref [16]).
 
-No networkx ships offline, so this is a from-scratch implementation:
-Brandes' algorithm for edge betweenness, the GN loop that repeatedly
-deletes the highest-betweenness edge, and Newman–Girvan modularity to
-pick the best partition along the dendrogram.
+A from-scratch implementation: Brandes' algorithm for edge
+betweenness, the GN loop that repeatedly deletes the
+highest-betweenness edge, and Newman–Girvan modularity to pick the
+best partition along the dendrogram. networkx is used only by the
+tests, as an oracle for edge betweenness.
 
 Ego networks are small (the paper's community-size median is 8 and 90%
 of communities have < 30 members; our synthetic ego nets are similar),

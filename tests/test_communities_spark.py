@@ -3,9 +3,10 @@ cogrouped UDF must agree with a driver-side reference implementation."""
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import features as FT
-from repro.core.communities import community_frame, community_sizes, member_features
+from repro.core.communities import community_frame, member_features
 from repro.core.girvan_newman import girvan_newman
 from repro.oracle import assert_equivalent
 from repro.socialnet.generator import INTERACTION_DIMS, NetConfig, generate, to_spark
@@ -75,9 +76,10 @@ def test_share_features_bounds(member_pdf):
 
 
 def test_comm_sizes_oracle(spark, member_pdf):
-    sizes = community_sizes(
-        spark.createDataFrame(member_pdf[["ego", "member", "comm_id"]])
-    )
+    """The UDF's comm_size is one value per (ego, comm_id): its member count."""
+    sizes = spark.createDataFrame(
+        member_pdf[["ego", "comm_id", "comm_size"]]
+    ).select("ego", "comm_id", F.col("comm_size").alias("size")).distinct()
     assert_equivalent(
         sizes,
         "SELECT ego, comm_id, count(*) AS size FROM m GROUP BY ego, comm_id",

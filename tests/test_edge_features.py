@@ -100,3 +100,18 @@ def test_distributed_lr_matches_driver(spark, setup):
     assert np.allclose(
         dist[[f"p_{t}" for t in MAJOR_TYPES]].to_numpy(), local_probs, atol=1e-9
     )
+
+
+def test_edge_model_ignores_row_order(spark, setup):
+    """Full-batch Adam's sums depend on row order, so the LR must not
+    depend on the order in which Spark collected the labeled edges."""
+    net, edges, member_df, member_res, feats = setup
+    train = net.edges[net.edges["label"].isin(MAJOR_TYPES)].sample(
+        frac=0.5, random_state=2
+    )
+    fpdf = feats.join(spark.createDataFrame(train), on=["src", "dst"]).toPandas()
+    X = np.stack([np.asarray(f) for f in fpdf["features"]])
+    shuffled = fpdf.sample(frac=1.0, random_state=3)
+    a = EF.train_edge_model(fpdf, epochs=50).predict_proba(X)
+    b = EF.train_edge_model(shuffled, epochs=50).predict_proba(X)
+    assert np.array_equal(a, b)

@@ -39,7 +39,7 @@ def test_min_child_weight_respected():
     g = np.array([-1.0, 1.0])
     h = np.array([0.4, 0.4])  # both below min_child_weight=1 → no split
     t = _Tree(3, 1.0, 0.0, min_child_weight=1.0).fit(X, g, h)
-    assert t.root.is_leaf
+    assert t.feature[0] == -1  # the root is a leaf
 
 
 def test_gbdt_fits_blobs():
@@ -100,3 +100,36 @@ def test_binary():
     X, y = _blobs(k=2, n=200)
     m = GBDT(2, n_rounds=15).fit(X, y)
     assert (m.predict(X) == y).mean() > 0.95
+
+
+def test_params_roundtrip():
+    X, y = _blobs()
+    m = GBDT(3, n_rounds=6).fit(X, y)
+    m2 = GBDT.from_params(m.get_params())
+    assert np.array_equal(m.predict_proba(X), m2.predict_proba(X))
+    assert np.array_equal(m.leaf_values(X), m2.leaf_values(X))
+
+
+def _scalar_leaf(feature, threshold, value, row):
+    """One sample down one heap-ordered tree, node by node."""
+    i = 0
+    while feature[i] != -1:
+        i = 2 * i + 1 if row[feature[i]] < threshold[i] else 2 * i + 2
+    return value[i]
+
+
+def test_leaf_values_match_scalar_walk():
+    """The vectorised walk over all trees equals a per-row walk of each
+    tree, on a model where some trees stop before max_depth and some
+    samples carry NaN (which goes right)."""
+    X, y = _blobs(n=60, sep=2.0)
+    m = GBDT(3, n_rounds=4, max_depth=4).fit(X, y)
+    # a tree is shallower than max_depth when its last split level is all leaves
+    shallow = (m.feature[:, 2 ** (m.max_depth - 1) - 1:] == -1).all(axis=1)
+    assert shallow.any() and not shallow.all()
+    Xt, _ = _blobs(seed=5, n=60, sep=2.0)
+    Xt[::7, 1] = np.nan
+    want = np.array([[_scalar_leaf(f, t, v, row)
+                      for f, t, v in zip(m.feature, m.threshold, m.value)]
+                     for row in Xt])
+    assert np.array_equal(m.leaf_values(Xt), want)

@@ -1,6 +1,7 @@
 """Tests for the from-scratch Girvan–Newman implementation."""
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -55,6 +56,22 @@ def test_betweenness_equal_split_square():
     bet = edge_betweenness([0, 1, 2, 3], {(0, 1), (1, 2), (2, 3), (0, 3)})
     vals = list(bet.values())
     assert all(v == pytest.approx(vals[0]) for v in vals)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_betweenness_matches_networkx(seed):
+    """Brandes' edge betweenness equals networkx's unnormalised one on
+    planted-partition graphs (networkx is used only as a test oracle)."""
+    g = np.random.default_rng(seed)
+    G = nx.planted_partition_graph(
+        int(g.integers(2, 5)), int(g.integers(3, 9)), 0.7, 0.1, seed=seed
+    )
+    edges = {(min(u, v), max(u, v)) for u, v in G.edges}
+    bet = edge_betweenness(list(G.nodes), edges)
+    want = nx.edge_betweenness_centrality(G, normalized=False)
+    assert len(bet) == len(want)
+    for (u, v), b in want.items():
+        assert bet[(min(u, v), max(u, v))] == pytest.approx(b, abs=1e-9)
 
 
 def test_modularity_single_community_zero():
