@@ -1,9 +1,9 @@
 """Phase II — community classification (paper Sec. IV-B).
 
-Algorithm 1's k×(|I|+|f|) feature matrix and the mean/std pooled vector
-of every local community are built in Phase I's per-ego UDF
-(:func:`repro.core.communities.member_features`) and read through
-:func:`repro.core.communities.community_frame`. This module then runs:
+Phase I (:func:`repro.core.communities.member_features`) stores each
+local community's member rows once, read through
+:func:`repro.core.communities.community_frame`; each model below builds
+its own input from them. This module then runs:
 
 1. :func:`community_labels` — ground-truth labels for the communities
    that contain labeled edges: the majority relationship type between
@@ -77,6 +77,17 @@ def community_labels(member_df: DataFrame, labeled_edges: DataFrame) -> DataFram
     )
 
 
+def _model_input(rows: pd.Series, variant: str, k: int) -> np.ndarray:
+    """The variant's input for a batch of communities' member ``rows``:
+    Algorithm 1's k×(|I|+|f|) matrices for CommCNN, mean/std pooled
+    vectors for the GBDT."""
+    if variant == "cnn":
+        return np.stack([FT.top_k_matrix(r, k) for r in rows])
+    if variant == "xgb":
+        return np.stack([FT.mean_std(r) for r in rows])
+    raise ValueError(f"unknown variant {variant!r}")
+
+
 def train_community_model(
     labeled: pd.DataFrame,
     variant: str,
@@ -87,43 +98,35 @@ def train_community_model(
 ):
     """Train the Phase II classifier on collected labeled communities.
 
-    ``labeled`` is a pandas frame with columns ego, comm_id, matrix,
-    pooled, label (strings from MAJOR_TYPES). Rows are put in (ego,
-    comm_id) order first, so the model does not depend on the order in
-    which Spark collected them. Returns the fitted model.
+    ``labeled`` is a pandas frame with columns ego, comm_id, rows, label
+    (strings from MAJOR_TYPES). Rows are put in (ego, comm_id) order
+    first, so the model does not depend on the order in which Spark
+    collected them. Returns the fitted model.
     """
+    if labeled.empty:
+        raise ValueError("no community has a train label")
     labeled = labeled.sort_values(["ego", "comm_id"])
+    X = _model_input(labeled["rows"], variant, k)
     y = labeled["label"].map(LABEL_TO_IDX).to_numpy()
     if variant == "cnn":
-        X = np.stack(
-            [np.asarray(m).reshape(k, FT.MATRIX_WIDTH) for m in labeled["matrix"]]
-        )
         model = CommCNN(
             CNNConfig(k=k, width=FT.MATRIX_WIDTH, n_classes=len(MAJOR_TYPES),
                       epochs=cnn_epochs, seed=seed)
         )
-        return model.fit(X, y)
-    if variant == "xgb":
-        X = np.stack([np.asarray(p) for p in labeled["pooled"]])
-        return GBDT(n_classes=len(MAJOR_TYPES), n_rounds=gbdt_rounds).fit(X, y)
-    raise ValueError(f"unknown variant {variant!r}")
+    else:
+        model = GBDT(n_classes=len(MAJOR_TYPES), n_rounds=gbdt_rounds)
+    return model.fit(X, y)
 
 
 def predict_communities(
     model, variant: str, pdf: pd.DataFrame, k: int
 ) -> pd.DataFrame:
     """(ego, comm_id, p_*, emb) for the communities in ``pdf`` (columns
-    ego, comm_id and the variant's matrix or pooled)."""
-    if variant == "cnn":
-        X = np.stack(
-            [np.asarray(m).reshape(k, FT.MATRIX_WIDTH) for m in pdf["matrix"]]
-        )
-        probs = model.predict_proba(X)
-        emb = probs  # r^C for CommCNN = softmax vector (paper Sec. IV-C)
-    else:
-        X = np.stack([np.asarray(p) for p in pdf["pooled"]])
-        probs = model.predict_proba(X)
-        emb = model.leaf_values(X)  # r^C for XGBoost = leaf values
+    ego, comm_id, rows)."""
+    X = _model_input(pdf["rows"], variant, k)
+    probs = model.predict_proba(X)
+    # r^C (paper Sec. IV-C): CommCNN's softmax vector, XGBoost's leaf values
+    emb = probs if variant == "cnn" else model.leaf_values(X)
     out = pd.DataFrame({"ego": pdf["ego"], "comm_id": pdf["comm_id"]})
     for i, c in enumerate(PROB_COLS):
         out[c] = probs[:, i]

@@ -1,9 +1,10 @@
 """Phase II feature computation: Eq. 1 (interact), Eq. 3 (tightness),
-and Algorithm 1 (community feature-matrix construction).
+and each model's input from one community's member rows.
 
-These are pure pandas/numpy functions over ONE ego network. The Spark
-layer (``repro.core.communities`` / ``repro.core.comm_classify``) calls
-them inside grouped pandas UDFs; tests call them directly on small
+Pure pandas/numpy functions. Phase I's per-ego UDF (``repro.core.communities``)
+calls :func:`community_member_features` on ONE ego network; Phase II
+(``repro.core.comm_classify``) calls :func:`top_k_matrix` (Algorithm 1) or
+:func:`mean_std` on ONE community's rows; tests call them directly on small
 hand-built networks.
 
 Interpretation note (Eq. 1): the paper's denominator is written
@@ -25,6 +26,8 @@ from repro.socialnet.generator import INTERACTION_DIMS, USER_FEATURES
 X_COLS = [f"x_{c}" for c in INTERACTION_DIMS]
 #: Width of the community feature matrix: |I| + |f|.
 MATRIX_WIDTH = len(INTERACTION_DIMS) + len(USER_FEATURES)
+#: One member's row in a community's ``rows``: tightness, then its matrix row.
+ROW_COLS = ["tightness"] + X_COLS + USER_FEATURES
 
 
 def community_member_features(
@@ -83,30 +86,28 @@ def community_member_features(
     return out
 
 
-def build_matrix(comm_feats: pd.DataFrame, k: int) -> np.ndarray:
+def top_k_matrix(rows, k: int) -> np.ndarray:
     """Algorithm 1: the k×(|I|+|f|) feature matrix of one community.
 
-    ``comm_feats`` holds one row per community member with the Eq. 1
-    features (x_*), the user's individual features (f_*), and
-    ``tightness``. Members are sorted by descending tightness (ties
-    broken by member id for determinism — the paper's max-heap pop
-    order); the top k rows [I_u^C, f_u] form the matrix, zero-padded
-    when the community is smaller than k.
+    ``rows`` is the community's flattened member rows in member-id order
+    (see ``ROW_COLS``). Members are sorted by descending tightness; the
+    stable sort breaks ties by member id, for determinism — the paper's
+    max-heap pop order. The top k rows [I_u^C, f_u] form the matrix,
+    zero-padded when the community is smaller than k.
     """
-    cols = X_COLS + USER_FEATURES
-    df = comm_feats.sort_values(
-        ["tightness", "member"], ascending=[False, True], kind="stable"
-    ).head(k)
-    mat = np.zeros((k, len(cols)))
-    vals = df[cols].to_numpy(dtype=float)
-    mat[: len(vals)] = vals
+    members = np.asarray(rows, dtype=float).reshape(-1, len(ROW_COLS))
+    top = members[np.argsort(-members[:, 0], kind="stable")[:k], 1:]
+    mat = np.zeros((k, MATRIX_WIDTH))
+    mat[: len(top)] = top
     return mat
 
 
-def pooled_vector(comm_feats: pd.DataFrame) -> np.ndarray:
+def mean_std(rows) -> np.ndarray:
     """Mean/std pooling of member features (the LoCEC-XGB community
     representation — paper Sec. IV-B.2: "the mean and standard deviation
     of each feature dimension regarding all nodes in a local community")."""
-    cols = X_COLS + USER_FEATURES
-    vals = comm_feats[cols].to_numpy(dtype=float)
+    members = np.asarray(rows, dtype=float).reshape(-1, len(ROW_COLS))
+    # column-contiguous: numpy rounds an axis-0 sum over a row-major array
+    # differently, and GBDT splits see the last bits
+    vals = np.asfortranarray(members[:, 1:])
     return np.concatenate([vals.mean(axis=0), vals.std(axis=0)])

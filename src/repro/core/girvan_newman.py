@@ -112,9 +112,10 @@ def girvan_newman(
     (a documented large-ego fallback; never hit by the paper-scale
     ego networks this repo generates).
     """
-    nodes = sorted(set(nodes))
+    node_set = set(nodes)
+    nodes = sorted(node_set)
     eset = {(min(u, v), max(u, v)) for u, v in edges if u != v}
-    eset = {e for e in eset if e[0] in set(nodes) and e[1] in set(nodes)}
+    eset = {e for e in eset if e[0] in node_set and e[1] in node_set}
     if not nodes:
         return {}
     degrees = {u: 0 for u in nodes}
@@ -132,7 +133,7 @@ def girvan_newman(
     while remaining:
         bet = edge_betweenness(nodes, remaining)
         # deterministic tie-break: highest betweenness, then edge order
-        emax = max(sorted(bet), key=lambda e: (bet[e], e))
+        emax = max(bet, key=lambda e: (bet[e], e))
         remaining.discard(emax)
         part = connected_components(nodes, remaining)
         q = modularity(part, eset, degrees)

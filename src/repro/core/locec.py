@@ -3,8 +3,7 @@
 ``run_locec`` wires the three phases over Spark DataFrames:
 
 - Phase I  (*division*):    ego networks + Girvan–Newman communities,
-  with every community's Eq. 1/3 features and Algorithm 1 matrix built
-  in the same per-ego pass,
+  with every community's Eq. 1/3 member rows built in the same pass,
 - Phase II (*aggregation*): community labels + CommCNN/GBDT,
 - Phase III (*combination*): Eq. 4 edge features + logistic regression,
 
@@ -69,7 +68,7 @@ def run_locec(
 
     # ---- Phase I: division -----------------------------------------
     t0 = time.perf_counter()
-    member_df = member_features(spark, edges, interactions, users, k=k).cache()
+    member_df = member_features(spark, edges, interactions, users).cache()
     member_df.count()
     timings["phase1"] = time.perf_counter() - t0
 

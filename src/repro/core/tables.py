@@ -148,7 +148,7 @@ def table5(
     ground truth.
     """
     ex = experiment or make_experiment(spark, n_nodes=n_nodes, seed=seed)
-    member_df = member_features(spark, ex.edges, ex.interactions, ex.users, k=20).cache()
+    member_df = member_features(spark, ex.edges, ex.interactions, ex.users).cache()
     matrices = community_frame(member_df)
     labels = CC.community_labels(member_df, spark.createDataFrame(ex.labeled))
     labels = labels.filter(labels["n_votes"] >= min_votes)

@@ -92,9 +92,6 @@ class Conv2D:
             dXp = dXp[:, :, p:-p, p:-p]
         return dXp
 
-    def params(self):
-        return [("W", self), ("b", self)]
-
 
 class ReLU:
     def forward(self, X):
@@ -342,7 +339,7 @@ class CommCNN:
                 )
 
     # ---- public API -------------------------------------------------
-    def fit(self, X: np.ndarray, y: np.ndarray, verbose: bool = False) -> "CommCNN":
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "CommCNN":
         """Train on community matrices X (n, k, width), int labels y."""
         c = self.cfg
         X = np.asarray(X, dtype=np.float64).reshape(-1, 1, c.k, c.width)
@@ -357,7 +354,6 @@ class CommCNN:
             # step decay: ×0.3 at 60% and 85% of the schedule
             lr = c.lr * (0.3 ** ((epoch >= 0.6 * c.epochs) + (epoch >= 0.85 * c.epochs)))
             order = g.permutation(n)
-            losses = []
             for s in range(0, n, c.batch_size):
                 idx = order[s : s + c.batch_size]
                 xb, yb = X[idx], y[idx]
@@ -370,13 +366,10 @@ class CommCNN:
                 logits = self._forward(xb)
                 P = softmax(logits)
                 Y = np.eye(c.n_classes)[yb]
-                losses.append(-np.log(P[np.arange(len(yb)), yb] + 1e-12).mean())
                 self._zero_grads()
                 self._backward((P - Y) / len(yb))
                 t += 1
                 self._adam_step(t, lr)
-            if verbose:
-                print(f"epoch {epoch}: loss={np.mean(losses):.4f}")
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

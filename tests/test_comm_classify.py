@@ -15,7 +15,7 @@ from repro.socialnet.generator import MAJOR_TYPES, NetConfig, generate, to_spark
 def setup(spark):
     net = generate(NetConfig(n_nodes=250, seed=29))
     edges, inter, users = to_spark(spark, net)
-    member_df = member_features(spark, edges, inter, users, k=10).cache()
+    member_df = member_features(spark, edges, inter, users).cache()
     member_df.count()
     matrices = community_frame(member_df)
     return net, edges, users, member_df, matrices
@@ -30,14 +30,17 @@ def test_matrix_rows_one_per_community(setup):
 def test_matrix_flat_length(setup):
     *_, matrices = setup
     row = matrices.first()
-    assert len(row.matrix) == 10 * FT.MATRIX_WIDTH
-    assert len(row.pooled) == 2 * FT.MATRIX_WIDTH
+    assert len(row.rows) == row.size * len(FT.ROW_COLS)
+    assert FT.top_k_matrix(row.rows, 10).size == 10 * FT.MATRIX_WIDTH
+    assert len(FT.mean_std(row.rows)) == 2 * FT.MATRIX_WIDTH
 
 
 def test_matrix_zero_padding_small_communities(setup):
     *_, matrices = setup
     row = matrices.filter("size = 1").first()
-    m = np.array(row.matrix).reshape(10, FT.MATRIX_WIDTH)
+    assert len(row.rows) == len(FT.ROW_COLS)
+    m = FT.top_k_matrix(row.rows, 10)
+    assert m.shape == (10, FT.MATRIX_WIDTH)
     assert (m[1:] == 0).all()
     assert m[0].any()  # the lone member's features are in row 0
 
@@ -134,6 +137,13 @@ def test_probs_are_distributions(spark, setup):
     out = CC.classify_communities(spark, matrices, model, variant="xgb", k=10).toPandas()
     s = out[CC.PROB_COLS].sum(axis=1)
     assert np.allclose(s, 1.0, atol=1e-6)
+
+
+def test_empty_train_set_fails_clearly():
+    empty = pd.DataFrame(columns=["ego", "comm_id", "size", "rows", "label"])
+    for variant in ("xgb", "cnn"):
+        with pytest.raises(ValueError, match="no community has a train label"):
+            CC.train_community_model(empty, variant=variant, k=10)
 
 
 def test_label_to_idx_fixed_order():

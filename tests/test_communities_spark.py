@@ -95,8 +95,7 @@ def test_singletons_have_tightness_one(member_pdf):
 def _collected(df, key):
     """``df`` as pandas in ``key`` order, array columns as tuples."""
     pdf = df.toPandas().sort_values(key, ignore_index=True)
-    for c in ("matrix", "pooled"):
-        pdf[c] = pdf[c].map(lambda v: None if v is None else tuple(v))
+    pdf["rows"] = pdf["rows"].map(lambda v: None if v is None else tuple(v))
     return pdf
 
 
@@ -113,7 +112,7 @@ def test_outputs_independent_of_shuffle_partitions(spark):
         for n in (1, 8):
             spark.conf.set("spark.sql.shuffle.partitions", n)
             edges, inter, users = to_spark(spark, net)
-            member_df = member_features(spark, edges, inter, users, k=10)
+            member_df = member_features(spark, edges, inter, users)
             runs.append((
                 _collected(member_df, ["ego", "member"]),
                 _collected(community_frame(member_df), ["ego", "comm_id"]),

@@ -13,7 +13,7 @@ from repro.socialnet.generator import MAJOR_TYPES, NetConfig, generate, to_spark
 def setup(spark):
     net = generate(NetConfig(n_nodes=220, seed=31))
     edges, inter, users = to_spark(spark, net)
-    member_df = member_features(spark, edges, inter, users, k=10).cache()
+    member_df = member_features(spark, edges, inter, users).cache()
     matrices = community_frame(member_df)
     labeled_edges = spark.createDataFrame(
         net.edges[net.edges["label"].isin(MAJOR_TYPES)]

@@ -6,10 +6,11 @@ import pytest
 
 from repro.core.features import (
     MATRIX_WIDTH,
+    ROW_COLS,
     X_COLS,
-    build_matrix,
     community_member_features,
-    pooled_vector,
+    mean_std,
+    top_k_matrix,
 )
 from repro.socialnet.generator import INTERACTION_DIMS, USER_FEATURES
 
@@ -109,16 +110,21 @@ def _comm_feats(n, seed=0):
     return df
 
 
+def _rows(df):
+    """``df``'s members as a community's flattened rows, in ``df``'s order."""
+    return df[ROW_COLS].to_numpy(dtype=float).ravel()
+
+
 def test_build_matrix_shape_and_padding():
     df = _comm_feats(5)
-    m = build_matrix(df, k=8)
+    m = top_k_matrix(_rows(df), k=8)
     assert m.shape == (8, MATRIX_WIDTH)
     assert (m[5:] == 0).all()  # zero-padded rows
 
 
 def test_build_matrix_truncates_to_top_k():
     df = _comm_feats(30)
-    m = build_matrix(df, k=10)
+    m = top_k_matrix(_rows(df), k=10)
     assert m.shape == (10, MATRIX_WIDTH)
     kept = df.sort_values(["tightness", "member"], ascending=[False, True]).head(10)
     assert m[0] == pytest.approx(
@@ -129,7 +135,7 @@ def test_build_matrix_truncates_to_top_k():
 def test_build_matrix_sorted_by_tightness_desc():
     df = _comm_feats(6)
     df["tightness"] = [0.1, 0.9, 0.5, 0.9, 0.2, 0.0]
-    m = build_matrix(df, k=6)
+    m = top_k_matrix(_rows(df), k=6)
     order = df.sort_values(["tightness", "member"], ascending=[False, True])
     assert np.allclose(m, order[X_COLS + USER_FEATURES].to_numpy(dtype=float))
 
@@ -137,14 +143,16 @@ def test_build_matrix_sorted_by_tightness_desc():
 def test_build_matrix_tie_break_deterministic():
     df = _comm_feats(4)
     df["tightness"] = 0.5
-    a = build_matrix(df, k=4)
-    b = build_matrix(df.sample(frac=1.0, random_state=3), k=4)
+    a = top_k_matrix(_rows(df), k=4)
+    # the UDF puts members back in member order, however they arrive
+    shuffled = df.sample(frac=1.0, random_state=3).sort_values("member")
+    b = top_k_matrix(_rows(shuffled), k=4)
     assert np.allclose(a, b)
 
 
 def test_pooled_vector_mean_std():
     df = _comm_feats(7)
-    v = pooled_vector(df)
+    v = mean_std(_rows(df))
     cols = X_COLS + USER_FEATURES
     expect = np.concatenate(
         [df[cols].mean().to_numpy(), df[cols].std(ddof=0).to_numpy()]
@@ -153,4 +161,4 @@ def test_pooled_vector_mean_std():
 
 
 def test_pooled_vector_width():
-    assert len(pooled_vector(_comm_feats(3))) == 2 * MATRIX_WIDTH
+    assert len(mean_std(_rows(_comm_feats(3)))) == 2 * MATRIX_WIDTH

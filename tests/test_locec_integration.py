@@ -1,5 +1,6 @@
 """End-to-end integration tests of Algorithm 2 (both variants)."""
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import DataFrame
 
@@ -96,3 +97,38 @@ def test_result_frames_hold_every_cached_frame(spark):
         if isinstance(v, DataFrame):
             v.unpersist(blocking=True)
     assert persistent().size() == start
+
+
+@pytest.mark.parametrize("variant", ["xgb", "cnn"])
+def test_edge_predictions_independent_of_shuffle_partitions(spark, variant):
+    """Edge predictions must not change with the number of shuffle
+    partitions (AQE coalescing off, so the count is really used)."""
+    ex = make_experiment(spark, n_nodes=150, seed=11)
+    keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    saved = {c: spark.conf.get(c) for c in keys}
+    preds = []
+    try:
+        spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
+        for n in (1, 7, 64):
+            spark.conf.set("spark.sql.shuffle.partitions", n)
+            res = run_locec(
+                spark, ex.edges, ex.interactions, ex.users, ex.train_df(spark),
+                variant=variant, gbdt_rounds=3, cnn_epochs=2, lr_epochs=20,
+            )
+            preds.append(
+                res.edge_pred.toPandas().sort_values(["src", "dst"], ignore_index=True)
+            )
+            # the next run has the same plans and would read these caches
+            for v in vars(res).values():
+                if isinstance(v, DataFrame):
+                    v.unpersist(blocking=True)
+    finally:
+        for c, v in saved.items():
+            spark.conf.set(c, v)
+    prob_cols = [f"p_{t}" for t in MAJOR_TYPES]
+    first, *rest = preds
+    for other in rest:
+        pd.testing.assert_frame_equal(
+            first[["src", "dst", "pred"]], other[["src", "dst", "pred"]]
+        )
+        assert np.abs(first[prob_cols].to_numpy() - other[prob_cols].to_numpy()).max() <= 1e-12
