@@ -16,6 +16,8 @@ its own input from them. This module then runs:
    are broadcast to executors and rebuilt there with ``from_params``.
    Emits class probabilities and the Phase III embedding ``r^C``
    (softmax vector for CommCNN, leaf values for GBDT — paper Sec. IV-C).
+   The fitted model alone fixes its input and embedding; only training
+   takes the variant.
 """
 from __future__ import annotations
 
@@ -77,15 +79,13 @@ def community_labels(member_df: DataFrame, labeled_edges: DataFrame) -> DataFram
     )
 
 
-def _model_input(rows: pd.Series, variant: str, k: int) -> np.ndarray:
-    """The variant's input for a batch of communities' member ``rows``:
+def _model_input(rows: pd.Series, model) -> np.ndarray:
+    """``model``'s input for a batch of communities' member ``rows``:
     Algorithm 1's k×(|I|+|f|) matrices for CommCNN, mean/std pooled
     vectors for the GBDT."""
-    if variant == "cnn":
-        return np.stack([FT.top_k_matrix(r, k) for r in rows])
-    if variant == "xgb":
-        return np.stack([FT.mean_std(r) for r in rows])
-    raise ValueError(f"unknown variant {variant!r}")
+    if isinstance(model, CommCNN):
+        return np.stack([FT.top_k_matrix(r, model.cfg.k) for r in rows])
+    return np.stack([FT.mean_std(r) for r in rows])
 
 
 def train_community_model(
@@ -101,32 +101,34 @@ def train_community_model(
     ``labeled`` is a pandas frame with columns ego, comm_id, rows, label
     (strings from MAJOR_TYPES). Rows are put in (ego, comm_id) order
     first, so the model does not depend on the order in which Spark
-    collected them. Returns the fitted model.
+    collected them. ``variant`` picks the model: "cnn" (CommCNN over
+    top-``k`` matrices) or "xgb" (GBDT over pooled vectors). Returns the
+    fitted model.
     """
     if labeled.empty:
         raise ValueError("no community has a train label")
     labeled = labeled.sort_values(["ego", "comm_id"])
-    X = _model_input(labeled["rows"], variant, k)
-    y = labeled["label"].map(LABEL_TO_IDX).to_numpy()
     if variant == "cnn":
         model = CommCNN(
             CNNConfig(k=k, width=FT.MATRIX_WIDTH, n_classes=len(MAJOR_TYPES),
                       epochs=cnn_epochs, seed=seed)
         )
-    else:
+    elif variant == "xgb":
         model = GBDT(n_classes=len(MAJOR_TYPES), n_rounds=gbdt_rounds)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    X = _model_input(labeled["rows"], model)
+    y = labeled["label"].map(LABEL_TO_IDX).to_numpy()
     return model.fit(X, y)
 
 
-def predict_communities(
-    model, variant: str, pdf: pd.DataFrame, k: int
-) -> pd.DataFrame:
+def predict_communities(model, pdf: pd.DataFrame) -> pd.DataFrame:
     """(ego, comm_id, p_*, emb) for the communities in ``pdf`` (columns
-    ego, comm_id, rows)."""
-    X = _model_input(pdf["rows"], variant, k)
+    ego, comm_id, rows); the fitted ``model`` fixes its own input."""
+    X = _model_input(pdf["rows"], model)
     probs = model.predict_proba(X)
     # r^C (paper Sec. IV-C): CommCNN's softmax vector, XGBoost's leaf values
-    emb = probs if variant == "cnn" else model.leaf_values(X)
+    emb = probs if isinstance(model, CommCNN) else model.leaf_values(X)
     out = pd.DataFrame({"ego": pdf["ego"], "comm_id": pdf["comm_id"]})
     for i, c in enumerate(PROB_COLS):
         out[c] = probs[:, i]
@@ -135,11 +137,7 @@ def predict_communities(
 
 
 def classify_communities(
-    spark: SparkSession,
-    matrices: DataFrame,
-    model,
-    variant: str,
-    k: int = 20,
+    spark: SparkSession, matrices: DataFrame, model
 ) -> DataFrame:
     """Distributed Phase II inference: the model's ``get_params`` arrays
     are broadcast and rebuilt on each executor with ``from_params``."""
@@ -150,6 +148,6 @@ def classify_communities(
         mdl = cls.from_params(bc.value)
         for pdf in batches:
             if len(pdf):
-                yield predict_communities(mdl, variant, pdf, k)
+                yield predict_communities(mdl, pdf)
 
     return matrices.mapInPandas(infer, schema=RESULT_SCHEMA)

@@ -6,14 +6,15 @@ edge feature vector is
 
     f_<u,v> = [tightness(u, C_u), tightness(v, C_v), r^{C_u}, r^{C_v}]
 
-assembled here with two joins of the per-member Phase II results onto
-the canonical edge list, then classified by a multinomial logistic
-regression trained on the labeled edges (driver-side fit, distributed
-inference via mapInPandas + broadcast weights).
+assembled here from the edge's two member rows (u in v's ego network
+and v in u's) in one aggregation, then classified by a multinomial
+logistic regression trained on the labeled edges (driver-side fit,
+distributed inference via mapInPandas + broadcast weights).
 
 The divide–aggregate–combine guarantee holds by construction: every
-edge endpoint is a member of the other endpoint's ego network, so the
-joins below are never lossy and every edge gets a dense feature vector.
+edge endpoint is a member of the other endpoint's ego network, so every
+edge has exactly two member rows and gets a dense feature vector;
+:func:`edge_features` raises if one is missing.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from repro.core.comm_classify import IDX_TO_LABEL, PROB_COLS
 from repro.ml.logreg import LogisticRegression
 from repro.socialnet.generator import MAJOR_TYPES
 
-EDGE_FEATURE_SCHEMA = "src long, dst long, features array<double>"
 EDGE_PRED_SCHEMA = (
     "src long, dst long, "
     + ", ".join(f"{c} double" for c in PROB_COLS)
@@ -34,43 +34,36 @@ EDGE_PRED_SCHEMA = (
 )
 
 
-def member_results(member_df: DataFrame, comm_results: DataFrame) -> DataFrame:
-    """(ego, member, tightness, emb): each member's tightness and the
-    embedding of the community it belongs to, per ego network."""
-    return member_df.select("ego", "member", "comm_id", "tightness").join(
+def edge_features(member_df: DataFrame, comm_results: DataFrame) -> DataFrame:
+    """Eq. 4 features for every edge (src, dst), src < dst.
+
+    Each member row (ego, member) is one side of the edge between them:
+    one join attaches its community's ``emb``, and one aggregation pairs
+    the two rows of each edge. Side u is the row with ego = dst
+    (tightness(u, C_u), r^{C_u}); side v the row with ego = src.
+    ``features`` raises when an edge has other than two member rows,
+    so a missing side is never paired with itself.
+    """
+    rows = member_df.select("ego", "member", "comm_id", "tightness").join(
         comm_results.select("ego", "comm_id", "emb"), on=["ego", "comm_id"]
     )
-
-
-def edge_features(edges: DataFrame, member_res: DataFrame) -> DataFrame:
-    """Eq. 4 features for every edge (src, dst): joins both orientations.
-
-    Side u: (ego = dst, member = src) → tightness(u, C_u), r^{C_u};
-    side v: (ego = src, member = dst) → tightness(v, C_v), r^{C_v}.
-    """
-    u_side = member_res.select(
-        F.col("ego").alias("dst"),
-        F.col("member").alias("src"),
-        F.col("tightness").alias("tight_u"),
-        F.col("emb").alias("emb_u"),
+    side = F.struct("tightness", "emb")
+    pairs = rows.groupBy(
+        F.least("ego", "member").alias("src"),
+        F.greatest("ego", "member").alias("dst"),
+    ).agg(
+        F.max_by(side, "ego").alias("u"),
+        F.min_by(side, "ego").alias("v"),
+        F.count("*").alias("n"),
     )
-    v_side = member_res.select(
-        F.col("ego").alias("src"),
-        F.col("member").alias("dst"),
-        F.col("tightness").alias("tight_v"),
-        F.col("emb").alias("emb_v"),
+    eq4 = F.concat(
+        F.array("u.tightness", "v.tightness"), F.col("u.emb"), F.col("v.emb")
     )
-    joined = (
-        edges.select("src", "dst")
-        .join(u_side, on=["src", "dst"])
-        .join(v_side, on=["src", "dst"])
-    )
-    return joined.select(
-        "src",
-        "dst",
-        F.concat(
-            F.array("tight_u", "tight_v"), F.col("emb_u"), F.col("emb_v")
-        ).alias("features"),
+    unpaired = F.raise_error(F.format_string(
+        "edge (%d, %d) has %d member rows, not 2", "src", "dst", "n"
+    ))
+    return pairs.select(
+        "src", "dst", F.when(F.col("n") == 2, eq4).otherwise(unpaired).alias("features")
     )
 
 

@@ -57,9 +57,3 @@ def ego_edges(edges: DataFrame) -> DataFrame:
         .select("ego", "src", "dst")
     )
 
-
-def ego_sizes(edges: DataFrame) -> DataFrame:
-    """(ego, n_members) — the size of every ego network (= degree)."""
-    return adjacency(edges.select("src", "dst")).groupBy("ego").agg(
-        F.count("member").alias("n_members")
-    )

@@ -5,7 +5,8 @@
 - Phase I  (*division*):    ego networks + Girvan–Newman communities,
   with every community's Eq. 1/3 member rows built in the same pass,
 - Phase II (*aggregation*): community labels + CommCNN/GBDT,
-- Phase III (*combination*): Eq. 4 edge features + logistic regression,
+- Phase III (*combination*): Eq. 4 edge features, paired from Phase I's
+  member rows and Phase II's results, + logistic regression,
 
 forcing materialization at each phase boundary so the wall-clock split
 reported for Table VI attributes time to the right phase, the same way
@@ -16,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import comm_classify as CC
@@ -85,17 +85,16 @@ def run_locec(
     )
     train_time = time.perf_counter() - t_train0
 
-    comm_results = CC.classify_communities(
-        spark, matrices, comm_model, variant=variant, k=k
-    ).cache()
+    comm_results = CC.classify_communities(spark, matrices, comm_model).cache()
     comm_results.count()
     # model training is reported separately (paper Table VI "Training")
     timings["phase2"] = time.perf_counter() - t0 - train_time
 
     # ---- Phase III: combination ------------------------------------
     t0 = time.perf_counter()
-    member_res = EF.member_results(member_df, comm_results)
-    feats = EF.edge_features(edges, member_res).cache()
+    # counting the cached frame computes every edge's features, so an
+    # edge without both member rows raises here
+    feats = EF.edge_features(member_df, comm_results).cache()
     feats.count()
 
     t_train0 = time.perf_counter()

@@ -167,7 +167,7 @@ def table5(
         model = CC.train_community_model(
             train_pd, variant=variant, k=20, seed=seed, cnn_epochs=cnn_epochs
         )
-        pred = CC.predict_communities(model, variant, test_pd, k=20)
+        pred = CC.predict_communities(model, test_pd)
         pred_lab = (
             pred[CC.PROB_COLS].to_numpy().argmax(axis=1)
         )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ml.logreg import softmax
+from repro.ml.logreg import adam_step, softmax
 
 
 # --------------------------------------------------------------------
@@ -319,7 +319,6 @@ class CommCNN:
             i += width
 
     def _adam_step(self, t, lr):
-        b1, b2, eps = 0.9, 0.999, 1e-8
         wd = self.cfg.weight_decay
         for lay in self._layers_with_params():
             for name in ("W", "b"):
@@ -329,14 +328,7 @@ class CommCNN:
                     grad = grad + wd * getattr(lay, name)
                 if key not in self._adam_state:
                     self._adam_state[key] = (np.zeros_like(grad), np.zeros_like(grad))
-                m, v = self._adam_state[key]
-                m[:] = b1 * m + (1 - b1) * grad
-                v[:] = b2 * v + (1 - b2) * grad**2
-                mhat = m / (1 - b1**t)
-                vhat = v / (1 - b2**t)
-                getattr(lay, name)[:] = getattr(lay, name) - lr * mhat / (
-                    np.sqrt(vhat) + eps
-                )
+                adam_step(getattr(lay, name), grad, *self._adam_state[key], t, lr)
 
     # ---- public API -------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "CommCNN":

@@ -19,6 +19,17 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def adam_step(param, grad, m, v, t: int, lr: float) -> None:
+    """One Adam update (step ``t`` ≥ 1) of ``param`` and its moment
+    estimates ``m``, ``v``, all in place."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m *= b1; m += (1 - b1) * grad
+    v *= b2; v += (1 - b2) * grad**2
+    mhat = m / (1 - b1**t)
+    vhat = v / (1 - b2**t)
+    param -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
 @dataclass
 class LogisticRegression:
     """Softmax regression trained with Adam.
@@ -54,17 +65,12 @@ class LogisticRegression:
         Y = np.eye(self.n_classes)[y]
         mW = np.zeros_like(self.W); vW = np.zeros_like(self.W)
         mb = np.zeros_like(self.b); vb = np.zeros_like(self.b)
-        b1, b2, eps = 0.9, 0.999, 1e-8
         for t in range(1, self.epochs + 1):
             P = softmax(Xs @ self.W + self.b)
             gW = Xs.T @ (P - Y) / n + self.l2 * self.W
             gb = (P - Y).mean(axis=0)
-            for par, grad, m, v in ((self.W, gW, mW, vW), (self.b, gb, mb, vb)):
-                m *= b1; m += (1 - b1) * grad
-                v *= b2; v += (1 - b2) * grad**2
-                mhat = m / (1 - b1**t)
-                vhat = v / (1 - b2**t)
-                par -= self.lr * mhat / (np.sqrt(vhat) + eps)
+            adam_step(self.W, gW, mW, vW, t, self.lr)
+            adam_step(self.b, gb, mb, vb, t, self.lr)
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -43,7 +43,3 @@ def overall_f1(y_true, y_pred, labels: list[str]) -> float:
     t = prf_table(y_true, y_pred, labels)
     return float(t.loc[t["type"] == "overall", "f1"].iloc[0])
 
-
-def accuracy(y_true, y_pred) -> float:
-    yt = np.asarray(y_true)
-    return float((yt == np.asarray(y_pred)).mean()) if len(yt) else 0.0

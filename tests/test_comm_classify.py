@@ -91,13 +91,13 @@ def test_train_and_distributed_inference_agree(spark, setup, variant):
         labeled, variant=variant, k=10, seed=0, cnn_epochs=3, gbdt_rounds=5
     )
     dist = (
-        CC.classify_communities(spark, matrices, model, variant=variant, k=10)
+        CC.classify_communities(spark, matrices, model)
         .toPandas()
         .sort_values(["ego", "comm_id"])
         .reset_index(drop=True)
     )
     local_in = matrices.toPandas().sort_values(["ego", "comm_id"]).reset_index(drop=True)
-    local = CC.predict_communities(model, variant, local_in, k=10)
+    local = CC.predict_communities(model, local_in)
     assert np.allclose(
         dist[CC.PROB_COLS].to_numpy(), local[CC.PROB_COLS].to_numpy(), atol=1e-9
     )
@@ -120,7 +120,7 @@ def test_training_ignores_row_order(spark, setup, variant):
         model = CC.train_community_model(
             frame, variant=variant, k=10, seed=0, cnn_epochs=3, gbdt_rounds=5
         )
-        return CC.predict_communities(model, variant, labeled, k=10)[CC.PROB_COLS]
+        return CC.predict_communities(model, labeled)[CC.PROB_COLS]
 
     shuffled = labeled.sample(frac=1.0, random_state=5)
     assert np.array_equal(probs(labeled).to_numpy(), probs(shuffled).to_numpy())
@@ -134,7 +134,7 @@ def test_probs_are_distributions(spark, setup):
     labels = CC.community_labels(member_df, labeled_edges)
     labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
     model = CC.train_community_model(labeled, variant="xgb", k=10, gbdt_rounds=5)
-    out = CC.classify_communities(spark, matrices, model, variant="xgb", k=10).toPandas()
+    out = CC.classify_communities(spark, matrices, model).toPandas()
     s = out[CC.PROB_COLS].sum(axis=1)
     assert np.allclose(s, 1.0, atol=1e-6)
 

@@ -2,6 +2,8 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import SparkRuntimeException
+from pyspark.sql import functions as F
 
 from repro.core import comm_classify as CC
 from repro.core import edge_features as EF
@@ -21,32 +23,42 @@ def setup(spark):
     labels = CC.community_labels(member_df, labeled_edges)
     labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
     model = CC.train_community_model(labeled, variant="xgb", k=10, gbdt_rounds=5)
-    comm_res = CC.classify_communities(spark, matrices, model, variant="xgb", k=10).cache()
-    member_res = EF.member_results(member_df, comm_res).cache()
-    feats = EF.edge_features(edges, member_res).cache()
+    comm_res = CC.classify_communities(spark, matrices, model).cache()
+    feats = EF.edge_features(member_df, comm_res).cache()
     feats.count()
-    return net, edges, member_df, member_res, feats
+    return net, edges, member_df, comm_res, feats
+
+
+def _member_results(member_df, comm_res) -> pd.DataFrame:
+    """(ego, member) → tightness and the embedding of the member's
+    community in that ego network, joined in pandas."""
+    return (
+        member_df.select("ego", "member", "comm_id", "tightness").toPandas()
+        .merge(comm_res.select("ego", "comm_id", "emb").toPandas(),
+               on=["ego", "comm_id"])
+        .set_index(["ego", "member"])
+    )
 
 
 def test_every_edge_has_features(setup):
     """LoCEC's guarantee: the divide-aggregate-combine pipeline gives a
     dense feature vector to EVERY edge (paper Sec. IV-C)."""
-    net, edges, member_df, member_res, feats = setup
+    net, edges, member_df, comm_res, feats = setup
     assert feats.count() == net.n_edges
 
 
 def test_feature_vector_width(setup):
-    net, edges, member_df, member_res, feats = setup
-    emb_len = len(member_res.first().emb)
+    net, edges, member_df, comm_res, feats = setup
+    emb_len = len(_member_results(member_df, comm_res)["emb"].iloc[0])
     row = feats.first()
     assert len(row.features) == 2 + 2 * emb_len  # Eq. 4 layout
 
 
 def test_eq4_layout_tightness_then_embeddings(setup):
     """features = [tight_u, tight_v, r^{C_u}, r^{C_v}] for one edge."""
-    net, edges, member_df, member_res, feats = setup
+    net, edges, member_df, comm_res, feats = setup
     r = feats.first()
-    mr = member_res.toPandas().set_index(["ego", "member"])
+    mr = _member_results(member_df, comm_res)
     u_side = mr.loc[(r.dst, r.src)]  # C_u: u's community in v's ego net
     v_side = mr.loc[(r.src, r.dst)]
     f = np.asarray(r.features)
@@ -57,13 +69,37 @@ def test_eq4_layout_tightness_then_embeddings(setup):
     assert np.allclose(f[2 + emb_len :], np.asarray(v_side["emb"]))
 
 
-def test_member_results_join_lossless(setup):
-    net, edges, member_df, member_res, feats = setup
-    assert member_res.count() == member_df.count()
+def test_features_match_two_join_oracle(setup):
+    """Every edge's features equal, exactly, the two-join definition of
+    Eq. 4: u = row (ego=dst, member=src), v = row (ego=src, member=dst)."""
+    net, edges, member_df, comm_res, feats = setup
+    mr = _member_results(member_df, comm_res)
+    got = feats.toPandas()
+    assert sorted(zip(got["src"], got["dst"])) == sorted(
+        zip(net.edges["src"], net.edges["dst"])
+    )
+    for src, dst, f in zip(got["src"], got["dst"], got["features"]):
+        u, v = mr.loc[(dst, src)], mr.loc[(src, dst)]
+        want = [u["tightness"], v["tightness"], *u["emb"], *v["emb"]]
+        assert list(f) == want, (src, dst)
+
+
+def test_missing_member_row_fails_naming_the_edge(setup):
+    """An edge with one member row must raise, not be paired with itself."""
+    net, edges, member_df, comm_res, feats = setup
+    src, dst = (int(x) for x in net.edges[["src", "dst"]].iloc[0])
+    dropped = member_df.filter(~((F.col("ego") == dst) & (F.col("member") == src)))
+    broken = EF.edge_features(dropped, comm_res).cache()
+    try:
+        msg = rf"edge \({src}, {dst}\) has 1 member rows, not 2"
+        with pytest.raises(SparkRuntimeException, match=msg):
+            broken.count()
+    finally:
+        broken.unpersist()
 
 
 def test_train_edge_model_and_classify(spark, setup):
-    net, edges, member_df, member_res, feats = setup
+    net, edges, member_df, comm_res, feats = setup
     train = net.edges[net.edges["label"].isin(MAJOR_TYPES)].sample(
         frac=0.5, random_state=0
     )
@@ -82,7 +118,7 @@ def test_train_edge_model_and_classify(spark, setup):
 
 
 def test_distributed_lr_matches_driver(spark, setup):
-    net, edges, member_df, member_res, feats = setup
+    net, edges, member_df, comm_res, feats = setup
     train = net.edges[net.edges["label"].isin(MAJOR_TYPES)].sample(
         frac=0.5, random_state=1
     )
@@ -105,7 +141,7 @@ def test_distributed_lr_matches_driver(spark, setup):
 def test_edge_model_ignores_row_order(spark, setup):
     """Full-batch Adam's sums depend on row order, so the LR must not
     depend on the order in which Spark collected the labeled edges."""
-    net, edges, member_df, member_res, feats = setup
+    net, edges, member_df, comm_res, feats = setup
     train = net.edges[net.edges["label"].isin(MAJOR_TYPES)].sample(
         frac=0.5, random_state=2
     )

@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.ego import adjacency, ego_edges, ego_sizes
+from repro.core.ego import adjacency, ego_edges
 from repro.oracle import assert_equivalent
 from repro.socialnet.generator import NetConfig, generate, to_spark
 
@@ -47,16 +47,6 @@ def test_ego_edges_oracle(spark, net, edges_df):
         JOIN adj a1 ON a1.member = e.src
         JOIN adj a2 ON a2.member = e.dst AND a2.ego = a1.ego
         """,
-        e=net.edges[["src", "dst"]],
-    )
-
-
-def test_ego_sizes_oracle(spark, net, edges_df):
-    assert_equivalent(
-        ego_sizes(edges_df),
-        "SELECT ego, count(*) AS n_members FROM ("
-        " SELECT src AS ego, dst AS member FROM e"
-        " UNION ALL SELECT dst AS ego, src AS member FROM e) GROUP BY ego",
         e=net.edges[["src", "dst"]],
     )
 

@@ -6,7 +6,7 @@ from pyspark.sql import DataFrame
 
 from repro.core.experiment import make_experiment, score_edge_predictions
 from repro.core.locec import run_locec
-from repro.socialnet.generator import MAJOR_TYPES
+from repro.socialnet.generator import INTERACTION_DIMS, MAJOR_TYPES, USER_FEATURES
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +132,29 @@ def test_edge_predictions_independent_of_shuffle_partitions(spark, variant):
             first[["src", "dst", "pred"]], other[["src", "dst", "pred"]]
         )
         assert np.abs(first[prob_cols].to_numpy() - other[prob_cols].to_numpy()).max() <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["xgb", "cnn"])
+def test_triangle_free_network_predicts_every_edge_once(spark, variant):
+    """Two 7-leaf stars joined by the path 0–20–10 have no triangles, so
+    every ego network has members but no internal edges and every local
+    community is a singleton; the train labels leave out one class."""
+    pairs = [(0, i) for i in range(1, 8)] + [(10, i) for i in range(11, 18)]
+    edges = pd.DataFrame(pairs + [(0, 20), (10, 20)], columns=["src", "dst"])
+    g = np.random.default_rng(0)
+    inter = edges.assign(**{c: g.integers(0, 6, len(edges)) for c in INTERACTION_DIMS})
+    users = pd.DataFrame({"user_id": np.unique(edges[["src", "dst"]])})
+    users = users.assign(**{c: g.random(len(users)) for c in USER_FEATURES})
+    train = edges.iloc[: len(pairs)].assign(label=["colleague"] * 7 + ["family"] * 7)
+    res = run_locec(
+        spark, spark.createDataFrame(edges), spark.createDataFrame(inter),
+        spark.createDataFrame(users), spark.createDataFrame(train),
+        variant=variant, gbdt_rounds=3, cnn_epochs=2, lr_epochs=20,
+    )
+    pred = res.edge_pred.toPandas()
+    for v in vars(res).values():
+        if isinstance(v, DataFrame):
+            v.unpersist(blocking=True)
+    assert len(pred) == len(edges)
+    assert not pred.duplicated(["src", "dst"]).any()
+    assert set(zip(pred["src"], pred["dst"])) == set(zip(edges["src"], edges["dst"]))

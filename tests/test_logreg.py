@@ -74,3 +74,15 @@ def test_binary_case():
     X, y = _blobs(k=2, n=200)
     m = LogisticRegression(2).fit(X, y)
     assert (m.predict(X) == y).mean() > 0.95
+
+
+def test_fitted_params_pinned():
+    """Adam's in-place update order is part of the fitted model: these
+    exact bits change if ``adam_step`` reorders its arithmetic."""
+    X, y = _blobs(n=30, d=2)
+    m = LogisticRegression(3, epochs=20).fit(X, y)
+    W = [["-0x1.bb89a130540b8p-1", "-0x1.4941039cac1f0p-1", "0x1.be261357ead82p-1"],
+         ["-0x1.bd23ff88ba1d6p-1", "0x1.507cd9f967a05p-1", "0x1.c114ee66491a3p-1"]]
+    b = ["-0x1.0e2bf08238c7ep-2", "0x1.267165530d448p-1", "-0x1.7b69f730598c8p-3"]
+    assert [[v.hex() for v in row] for row in m.W] == W
+    assert [v.hex() for v in m.b] == b

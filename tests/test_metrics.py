@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.metrics import accuracy, overall_f1, prf_table
+from repro.ml.metrics import overall_f1, prf_table
 
 
 def test_perfect_prediction():
@@ -49,11 +49,6 @@ def test_rows_order_and_overall_last():
 
 def test_overall_f1_helper():
     assert overall_f1(["a", "b"], ["a", "b"], ["a", "b"]) == 1.0
-
-
-def test_accuracy():
-    assert accuracy(["a", "b", "c"], ["a", "b", "x"]) == pytest.approx(2 / 3)
-    assert accuracy([], []) == 0.0
 
 
 def test_integer_labels_work():
