@@ -1,4 +1,4 @@
-"""Experiment harness shared by jobs, tests and benchmarks.
+"""Experiment harness shared by jobs and tests.
 
 Mirrors the paper's evaluation protocol (Sec. V-B): a sub-graph in
 which ~40% of edges carry ground-truth labels; the labeled edges are

@@ -1,103 +1,73 @@
 """Girvan–Newman community detection (paper Phase I, ref [16]).
 
-A from-scratch implementation: Brandes' algorithm for edge
-betweenness, the GN loop that repeatedly deletes the
-highest-betweenness edge, and Newman–Girvan modularity to pick the
-best partition along the dendrogram. networkx is used only by the
-tests, as an oracle for edge betweenness.
+A from-scratch implementation on the ego network's n×n 0/1 adjacency
+matrix ``A``, nodes in sorted order. :func:`edge_betweenness` runs
+Brandes' algorithm from every source at once, one row per source: a
+level-by-level BFS whose levels hold the shortest-path counts σ, then
+the dependency accumulation back up the levels. The BFS's reachability
+matrix also gives the connected components. The GN loop repeatedly
+deletes the highest-betweenness edge and recomputes betweenness only in
+the component that held it, because sources in other components add
+nothing to its edges; the partition changes only when that component
+splits, so only then are the labels and the modularity recomputed.
+networkx is used only by the tests, as an oracle.
 
-Ego networks are small (the paper's community-size median is 8 and 90%
-of communities have < 30 members; our synthetic ego nets are similar),
-so the O(n·m) betweenness pass per removed edge is comfortably cheap.
-A ``max_edges`` guard degrades gracefully to connected components for
-pathologically large ego networks.
+Tie rule: each step removes the highest ``(u, v)`` among the edges whose
+betweenness is within ``TIE_TOL`` (relative) of the maximum — dense sums
+differ from any other summation order in the last bits, so exact ties
+must not be split by rounding. Modularity is compared as an exact
+integer, and the first partition along the dendrogram with the maximum
+modularity is kept.
 
-All iteration orders are sorted, so results are deterministic.
+Ego networks above ``max_edges`` edges skip GN and return their
+connected components, a graceful fallback for pathologically large ego
+networks.
 """
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
+
+#: Relative tolerance within which betweenness scores count as tied.
+TIE_TOL = 1e-9
 
 
-def _neighbors(nodes: list, edges: set[tuple]) -> dict:
-    adj = {u: [] for u in nodes}
-    for u, v in sorted(edges):
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+def edge_betweenness(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brandes' edge betweenness of the undirected graph with adjacency ``A``.
+
+    Returns ``(bet, reach)``: ``bet[u, v]`` is the betweenness of edge
+    (u, v) (symmetric, zero off the edges), and ``reach[s, v]`` says
+    whether v is reachable from s, so ``reach.argmax(axis=1)`` labels
+    each node with the smallest node of its component.
+    """
+    n = len(A)
+    reach = np.eye(n, dtype=bool)
+    levels = [np.eye(n)]  # levels[l][s, v] = σ_s(v) for v at distance l from s
+    while True:
+        nxt = (levels[-1] @ A) * ~reach
+        hit = nxt > 0
+        if not hit.any():
+            break
+        reach |= hit
+        levels.append(nxt)
+    delta = np.zeros((n, n))
+    B = np.zeros((n, n))  # B[v, w]: credit of edge (v, w), v nearer the source
+    for hi, lo in zip(levels[:0:-1], levels[-2::-1]):
+        X = np.divide(1.0 + delta, hi, out=np.zeros((n, n)), where=hi > 0)
+        delta += lo * (X @ A)
+        B += lo.T @ X
+    # each undirected path is counted from both of its endpoints
+    return (B + B.T) * A / 2.0, reach
 
 
-def connected_components(nodes: list, edges: set[tuple]) -> list[list]:
-    """Sorted list of sorted components (BFS)."""
-    adj = _neighbors(nodes, edges)
-    seen: set = set()
-    comps = []
-    for s in sorted(nodes):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    q.append(v)
-        comps.append(sorted(comp))
-    return comps
+def modularity(labels: np.ndarray, A: np.ndarray) -> int:
+    """``4m²·Q``, Newman–Girvan modularity as an exact integer.
 
-
-def edge_betweenness(nodes: list, edges: set[tuple]) -> dict[tuple, float]:
-    """Brandes' edge betweenness for an undirected, unweighted graph."""
-    adj = _neighbors(nodes, edges)
-    bet = {e: 0.0 for e in edges}
-    for s in sorted(nodes):
-        # BFS from s: sigma counts shortest paths, preds the DAG
-        dist = {s: 0}
-        sigma = {s: 1.0}
-        preds: dict = {u: [] for u in nodes}
-        order = []
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            order.append(u)
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    sigma[v] = 0.0
-                    q.append(v)
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        # accumulation in reverse BFS order
-        delta = {u: 0.0 for u in order}
-        for u in reversed(order):
-            for p in preds[u]:
-                c = sigma[p] / sigma[u] * (1.0 + delta[u])
-                e = (p, u) if (p, u) in bet else (u, p)
-                bet[e] += c
-                delta[p] += c
-    # each undirected path counted from both endpoints
-    return {e: b / 2.0 for e, b in bet.items()}
-
-
-def modularity(partition: list[list], edges: set[tuple], degrees: dict) -> float:
-    """Newman–Girvan modularity of ``partition`` w.r.t. the *original* graph."""
-    m = sum(degrees.values()) / 2.0
-    if m == 0:
-        return 0.0
-    comm_of = {u: i for i, comp in enumerate(partition) for u in comp}
-    intra = [0.0] * len(partition)
-    for u, v in edges:
-        if comm_of[u] == comm_of[v]:
-            intra[comm_of[u]] += 1.0
-    q = 0.0
-    for i, comp in enumerate(partition):
-        dc = sum(degrees[u] for u in comp)
-        q += intra[i] / m - (dc / (2.0 * m)) ** 2
-    return q
+    ``labels`` gives each node's community as a node index; ``A`` is the
+    *original* graph: ``4m²·Q = 2m·Σ_c 2e_c − Σ_c d_c²``.
+    """
+    deg = A.sum(axis=0)
+    d = np.bincount(labels, weights=deg).astype(np.int64)
+    return int(deg.sum()) * int(A[labels[:, None] == labels].sum()) - int(d @ d)
 
 
 def girvan_newman(
@@ -107,37 +77,42 @@ def girvan_newman(
 
     Runs the full GN dendrogram (remove max-betweenness edge, recompute)
     and returns the partition with maximum modularity, measured against
-    the original graph. Isolated nodes become singleton communities.
+    the original graph. Community ids follow each community's smallest
+    node. Self-loops, duplicate edges and edges to nodes outside
+    ``nodes`` are ignored; isolated nodes become singleton communities.
     Graphs above ``max_edges`` skip GN and return connected components
-    (a documented large-ego fallback; never hit by the paper-scale
-    ego networks this repo generates).
+    (a documented large-ego fallback; never hit by the paper-scale ego
+    networks this repo generates).
     """
-    node_set = set(nodes)
-    nodes = sorted(node_set)
-    eset = {(min(u, v), max(u, v)) for u, v in edges if u != v}
-    eset = {e for e in eset if e[0] in node_set and e[1] in node_set}
+    nodes = sorted(set(nodes))
     if not nodes:
         return {}
-    degrees = {u: 0 for u in nodes}
-    for u, v in eset:
-        degrees[u] += 1
-        degrees[v] += 1
+    index = {u: i for i, u in enumerate(nodes)}
+    A = np.zeros((len(nodes), len(nodes)))
+    for u, v in edges:
+        if u != v and u in index and v in index:
+            A[index[u], index[v]] = A[index[v], index[u]] = 1.0
+    n_edges = int(A.sum()) // 2
 
-    if len(eset) > max_edges or not eset:
-        comps = connected_components(nodes, eset)
-        return {u: i for i, comp in enumerate(comps) for u in comp}
-
-    remaining = set(eset)
-    best_part = connected_components(nodes, remaining)
-    best_q = modularity(best_part, eset, degrees)
-    while remaining:
-        bet = edge_betweenness(nodes, remaining)
-        # deterministic tie-break: highest betweenness, then edge order
-        emax = max(bet, key=lambda e: (bet[e], e))
-        remaining.discard(emax)
-        part = connected_components(nodes, remaining)
-        q = modularity(part, eset, degrees)
-        if q > best_q:
-            best_q = q
-            best_part = part
-    return {u: i for i, comp in enumerate(best_part) for u in comp}
+    bet, reach = edge_betweenness(A)
+    labels = reach.argmax(axis=1)
+    best = labels
+    if n_edges <= max_edges:
+        best_q = modularity(labels, A)
+        left = A.copy()
+        for _ in range(n_edges):
+            top = np.triu(bet)
+            i, j = np.argwhere(top >= top.max() * (1.0 - TIE_TOL))[-1]
+            left[i, j] = left[j, i] = 0.0
+            comp = np.flatnonzero(labels == labels[i])
+            sub = np.ix_(comp, comp)
+            bet[sub], sub_reach = edge_betweenness(left[sub])
+            a, b = np.searchsorted(comp, (i, j))
+            if not sub_reach[a, b]:
+                labels = labels.copy()
+                labels[comp] = comp[sub_reach.argmax(axis=1)]
+                q = modularity(labels, A)
+                if q > best_q:
+                    best, best_q = labels, q
+    ids = np.unique(best, return_inverse=True)[1]
+    return {u: int(c) for u, c in zip(nodes, ids)}

@@ -1,8 +1,8 @@
 """One function per reproduced table (I, II, IV, V, VI).
 
-Jobs under ``jobs/`` and the pytest-benchmark wrappers under
-``benchmarks/`` both call these, so the numbers in EXPERIMENTS.md come
-from exactly the code a reader runs. The paper's reference numbers are
+Jobs under ``jobs/`` and the smoke tests in ``tests/test_tables.py``
+both call these, so the numbers in EXPERIMENTS.md come from exactly the
+code a reader runs. The paper's reference numbers are
 recorded in ``PAPER_*`` constants for side-by-side printing.
 """
 from __future__ import annotations

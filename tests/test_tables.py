@@ -1,8 +1,7 @@
 """Smoke tests for the table harnesses at reduced scale.
 
-Full-scale table runs live in jobs/ (and their timings in benchmarks/);
-these tests verify the harnesses produce well-formed tables with the
-paper's qualitative shape.
+Full-scale table runs live in jobs/; these tests verify the harnesses
+produce well-formed tables with the paper's qualitative shape.
 """
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ def test_table1_shape_and_ratios():
     tab = T.table1(n_nodes=800, seed=7, n_surveyed=200)
     assert {"first_category", "first_ratio", "second_category",
             "second_ratio", "paper_first_ratio"} <= set(tab.columns)
+    assert len(tab) == 17  # 4 first categories × their second categories
     firsts = tab.drop_duplicates("first_category")
     for _, r in firsts.iterrows():
         assert abs(r["first_ratio"] - r["paper_first_ratio"]) < 0.10
@@ -59,4 +59,6 @@ def test_table6_small(spark, small_ex):
         stages.loc[["phase1", "phase2", "phase3"], "seconds"].sum()
     )
     assert np.isclose(stages.loc["total", "share"], 1.0)
+    # the paper's Table VI shape: division is the most expensive phase
+    assert stages.loc["phase1", "seconds"] > stages.loc["phase3", "seconds"]
     assert stages.loc["phase1", "paper_hours"] == 46.5
