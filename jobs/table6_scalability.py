@@ -56,6 +56,7 @@ def main():
                  **{k: round(v, 2) for k, v in res.timings.items()},
                  "wall": round(time.perf_counter() - t0, 2)}
             )
+            res.unpersist()
         emit(pd.DataFrame(rows), "table6_scaling", None)
     spark.stop()
 

@@ -8,16 +8,19 @@ its own input from them. This module then runs:
 1. :func:`community_labels` — ground-truth labels for the communities
    that contain labeled edges: the majority relationship type between
    the ego and the community's labeled members (paper Sec. V-C).
+   :func:`labeled_communities` collects the labeled communities to the
+   driver, the one collect both ``run_locec`` and Table V train on.
 2. :func:`train_community_model` — driver-side training of CommCNN or
    the GBDT on the labeled communities (the paper trains its model
    beforehand on the survey set, then broadcasts it to 100 servers).
-3. :func:`classify_communities` — distributed inference via
-   mapInPandas. Every model ships one way: its ``get_params`` arrays
-   are broadcast to executors and rebuilt there with ``from_params``.
-   Emits class probabilities and the Phase III embedding ``r^C``
-   (softmax vector for CommCNN, leaf values for GBDT — paper Sec. IV-C).
-   The fitted model alone fixes its input and embedding; only training
-   takes the variant.
+3. :func:`classify_communities` — distributed inference. Every model,
+   Phase III's LR included, ships one way, through one executor-
+   inference helper: its ``get_params`` arrays are broadcast and
+   rebuilt on each executor with ``from_params``. Emits class
+   probabilities and the Phase III embedding ``r^C`` (softmax vector
+   for CommCNN, leaf values for GBDT — paper Sec. IV-C). The fitted
+   model alone fixes its input and embedding; only training takes the
+   variant.
 """
 from __future__ import annotations
 
@@ -25,9 +28,9 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
-from pyspark.sql.window import Window
 
 from repro.core import features as FT
+from repro.core.communities import community_frame
 from repro.ml.cnn import CNNConfig, CommCNN
 from repro.ml.gbdt import GBDT
 from repro.socialnet.generator import MAJOR_TYPES
@@ -45,7 +48,8 @@ RESULT_SCHEMA = (
 
 
 def community_labels(member_df: DataFrame, labeled_edges: DataFrame) -> DataFrame:
-    """(ego, comm_id, label) by majority vote of labeled ego↔member edges.
+    """(ego, comm_id, label, n_votes) by majority vote of labeled
+    ego↔member edges.
 
     ``labeled_edges``: (src, dst, label) restricted to the labels the
     experiment is allowed to see (the train split). A community gets a
@@ -69,13 +73,23 @@ def community_labels(member_df: DataFrame, labeled_edges: DataFrame) -> DataFram
         .groupBy("ego", "comm_id", "label")
         .agg(F.count("*").alias("n"))
     )
-    win = Window.partitionBy("ego", "comm_id").orderBy(F.desc("n"), F.asc("label"))
-    total = Window.partitionBy("ego", "comm_id")
+    # the most votes, ties to the smallest label; and the votes' total
+    return votes.groupBy("ego", "comm_id").agg(
+        F.min(F.struct(-F.col("n"), F.col("label"))).label.alias("label"),
+        F.sum("n").alias("n_votes"),
+    )
+
+
+def labeled_communities(member_df: DataFrame, labeled_edges: DataFrame) -> pd.DataFrame:
+    """(ego, comm_id, size, rows, label, n_votes) of every community with
+    a :func:`community_labels` label, collected to the driver in
+    (ego, comm_id) order, so that the row order (Table V's random split
+    reads it) does not depend on Spark's plan."""
     return (
-        votes.withColumn("rk", F.row_number().over(win))
-        .withColumn("n_votes", F.sum("n").over(total))
-        .filter(F.col("rk") == 1)
-        .select("ego", "comm_id", "label", "n_votes")
+        community_frame(member_df)
+        .join(community_labels(member_df, labeled_edges), on=["ego", "comm_id"])
+        .toPandas()
+        .sort_values(["ego", "comm_id"], ignore_index=True)
     )
 
 
@@ -136,11 +150,12 @@ def predict_communities(model, pdf: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
-def classify_communities(
-    spark: SparkSession, matrices: DataFrame, model
+def _infer_on_executors(
+    spark: SparkSession, frame: DataFrame, model, predict, schema: str
 ) -> DataFrame:
-    """Distributed Phase II inference: the model's ``get_params`` arrays
-    are broadcast and rebuilt on each executor with ``from_params``."""
+    """``predict(model, batch)`` over every non-empty batch of ``frame``:
+    ``model``'s ``get_params`` arrays are broadcast and rebuilt once per
+    task with ``from_params``."""
     cls = type(model)
     bc = spark.sparkContext.broadcast(model.get_params())
 
@@ -148,6 +163,12 @@ def classify_communities(
         mdl = cls.from_params(bc.value)
         for pdf in batches:
             if len(pdf):
-                yield predict_communities(mdl, pdf)
+                yield predict(mdl, pdf)
 
-    return matrices.mapInPandas(infer, schema=RESULT_SCHEMA)
+    return frame.mapInPandas(infer, schema=schema)
+
+
+def classify_communities(spark: SparkSession, matrices: DataFrame, model) -> DataFrame:
+    """Distributed Phase II inference: :func:`predict_communities` over
+    the community frame ``matrices`` (ego, comm_id, rows, ...)."""
+    return _infer_on_executors(spark, matrices, model, predict_communities, RESULT_SCHEMA)

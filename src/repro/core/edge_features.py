@@ -8,8 +8,9 @@ edge feature vector is
 
 assembled here from the edge's two member rows (u in v's ego network
 and v in u's) in one aggregation, then classified by a multinomial
-logistic regression trained on the labeled edges (driver-side fit,
-distributed inference via mapInPandas + broadcast weights).
+logistic regression trained on the labeled edges: a driver-side fit,
+and distributed inference of :func:`predict_edges` through Phase II's
+one executor-inference helper (broadcast ``get_params`` arrays).
 
 The divide–aggregate–combine guarantee holds by construction: every
 edge endpoint is a member of the other endpoint's ego network, so every
@@ -23,7 +24,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.comm_classify import IDX_TO_LABEL, PROB_COLS
+from repro.core.comm_classify import IDX_TO_LABEL, LABEL_TO_IDX, PROB_COLS, _infer_on_executors
 from repro.ml.logreg import LogisticRegression
 from repro.socialnet.generator import MAJOR_TYPES
 
@@ -67,6 +68,11 @@ def edge_features(member_df: DataFrame, comm_results: DataFrame) -> DataFrame:
     )
 
 
+def _feature_matrix(features: pd.Series) -> np.ndarray:
+    """The LR's input: one Eq. 4 ``features`` vector per row."""
+    return np.stack([np.asarray(f) for f in features])
+
+
 def train_edge_model(
     feat_pdf: pd.DataFrame, seed: int = 0, epochs: int = 300
 ) -> LogisticRegression:
@@ -78,28 +84,25 @@ def train_edge_model(
     depend on the order in which Spark collected them.
     """
     feat_pdf = feat_pdf.sort_values(["src", "dst"])
-    X = np.stack([np.asarray(f) for f in feat_pdf["features"]])
-    y = feat_pdf["label"].map({t: i for i, t in enumerate(MAJOR_TYPES)}).to_numpy()
+    X = _feature_matrix(feat_pdf["features"])
+    y = feat_pdf["label"].map(LABEL_TO_IDX).to_numpy()
     return LogisticRegression(n_classes=len(MAJOR_TYPES), seed=seed, epochs=epochs).fit(X, y)
+
+
+def predict_edges(model: LogisticRegression, pdf: pd.DataFrame) -> pd.DataFrame:
+    """(src, dst, p_*, pred) for the edges in ``pdf`` (columns src, dst,
+    features); ``pred`` is the most probable type."""
+    probs = model.predict_proba(_feature_matrix(pdf["features"]))
+    out = pd.DataFrame({"src": pdf["src"], "dst": pdf["dst"]})
+    for i, c in enumerate(PROB_COLS):
+        out[c] = probs[:, i]
+    out["pred"] = [IDX_TO_LABEL[i] for i in probs.argmax(axis=1)]
+    return out
 
 
 def classify_edges(
     spark: SparkSession, feats: DataFrame, model: LogisticRegression
 ) -> DataFrame:
-    """Distributed Phase III inference: (src, dst, p_*, pred)."""
-    bc = spark.sparkContext.broadcast(model.get_params())
-
-    def infer(batches):
-        mdl = LogisticRegression.from_params(bc.value)
-        for pdf in batches:
-            if not len(pdf):
-                continue
-            X = np.stack([np.asarray(f) for f in pdf["features"]])
-            probs = mdl.predict_proba(X)
-            out = pd.DataFrame({"src": pdf["src"], "dst": pdf["dst"]})
-            for i, c in enumerate(PROB_COLS):
-                out[c] = probs[:, i]
-            out["pred"] = [IDX_TO_LABEL[i] for i in probs.argmax(axis=1)]
-            yield out
-
-    return feats.mapInPandas(infer, schema=EDGE_PRED_SCHEMA)
+    """Distributed Phase III inference: :func:`predict_edges` over every
+    edge of ``feats``."""
+    return _infer_on_executors(spark, feats, model, predict_edges, EDGE_PRED_SCHEMA)

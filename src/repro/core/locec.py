@@ -4,7 +4,8 @@
 
 - Phase I  (*division*):    ego networks + Girvan–Newman communities,
   with every community's Eq. 1/3 member rows built in the same pass,
-- Phase II (*aggregation*): community labels + CommCNN/GBDT,
+- Phase II (*aggregation*): community labels + CommCNN/GBDT, trained
+  on the one labeled-community collect Table V also uses,
 - Phase III (*combination*): Eq. 4 edge features, paired from Phase I's
   member rows and Phase II's results, + logistic regression,
 
@@ -28,18 +29,24 @@ from repro.core.communities import community_frame, member_features
 class LocecResult:
     """Artifacts of one end-to-end run (Spark frames + models).
 
-    ``member_df``, ``comm_results`` and ``edge_pred`` are cached;
-    ``matrices`` is :func:`community_frame`'s projection of ``member_df``.
+    ``member_df``, ``comm_results`` and ``edge_pred`` stay cached until
+    :meth:`unpersist`; meanwhile a run on the same inputs reads Phase I
+    from the cache.
     """
 
     member_df: DataFrame
-    matrices: DataFrame
     comm_results: DataFrame
     edge_pred: DataFrame
     comm_model: object
     edge_model: object
     timings: dict = field(default_factory=dict)  # seconds per phase
     train_time: float = 0.0
+
+    def unpersist(self) -> None:
+        """Release every frame the run cached."""
+        for v in vars(self).values():
+            if isinstance(v, DataFrame):
+                v.unpersist(blocking=True)
 
 
 def run_locec(
@@ -74,9 +81,7 @@ def run_locec(
 
     # ---- Phase II: aggregation -------------------------------------
     t0 = time.perf_counter()
-    matrices = community_frame(member_df)
-    labels = CC.community_labels(member_df, train_edges)
-    labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
+    labeled = CC.labeled_communities(member_df, train_edges)
 
     t_train0 = time.perf_counter()
     comm_model = CC.train_community_model(
@@ -85,7 +90,9 @@ def run_locec(
     )
     train_time = time.perf_counter() - t_train0
 
-    comm_results = CC.classify_communities(spark, matrices, comm_model).cache()
+    comm_results = CC.classify_communities(
+        spark, community_frame(member_df), comm_model
+    ).cache()
     comm_results.count()
     # model training is reported separately (paper Table VI "Training")
     timings["phase2"] = time.perf_counter() - t0 - train_time
@@ -111,7 +118,6 @@ def run_locec(
 
     return LocecResult(
         member_df=member_df,
-        matrices=matrices,
         comm_results=comm_results,
         edge_pred=edge_pred,
         comm_model=comm_model,

@@ -2,8 +2,10 @@
 
 Jobs under ``jobs/`` and the smoke tests in ``tests/test_tables.py``
 both call these, so the numbers in EXPERIMENTS.md come from exactly the
-code a reader runs. The paper's reference numbers are
-recorded in ``PAPER_*`` constants for side-by-side printing.
+code a reader runs. Tables IV and VI release ``run_locec``'s cached
+frames once they are read; Table V trains on ``run_locec``'s collect,
+:func:`comm_classify.labeled_communities`. The paper's reference
+numbers are recorded in ``PAPER_*`` constants for side-by-side printing.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from repro.baselines.economix import Economix
 from repro.baselines.probwp import ProbWP
 from repro.baselines.xgboost_edge import XGBoostEdge
 from repro.core import comm_classify as CC
-from repro.core.communities import community_frame, member_features
+from repro.core.communities import member_features
 from repro.core.experiment import Experiment, make_experiment, score_edge_predictions
 from repro.core.locec import run_locec
 from repro.ml.metrics import prf_table
@@ -110,6 +112,7 @@ def table4(
                 variant=variant, cnn_epochs=cnn_epochs,
             )
             pred = res.edge_pred.toPandas()
+            res.unpersist()
         else:
             raise ValueError(name)
         tab = score_edge_predictions(ex.test, pred)
@@ -149,14 +152,8 @@ def table5(
     """
     ex = experiment or make_experiment(spark, n_nodes=n_nodes, seed=seed)
     member_df = member_features(spark, ex.edges, ex.interactions, ex.users).cache()
-    matrices = community_frame(member_df)
-    labels = CC.community_labels(member_df, spark.createDataFrame(ex.labeled))
-    labels = labels.filter(labels["n_votes"] >= min_votes)
-    labeled = (
-        matrices.join(labels, on=["ego", "comm_id"])
-        .toPandas()
-        .sort_values(["ego", "comm_id"], ignore_index=True)
-    )
+    labeled = CC.labeled_communities(member_df, spark.createDataFrame(ex.labeled))
+    labeled = labeled[labeled["n_votes"] >= min_votes]
 
     g = np.random.default_rng(seed)
     is_train = g.random(len(labeled)) < train_frac
@@ -167,13 +164,9 @@ def table5(
         model = CC.train_community_model(
             train_pd, variant=variant, k=20, seed=seed, cnn_epochs=cnn_epochs
         )
-        pred = CC.predict_communities(model, test_pd)
-        pred_lab = (
-            pred[CC.PROB_COLS].to_numpy().argmax(axis=1)
-        )
+        probs = CC.predict_communities(model, test_pd)[CC.PROB_COLS].to_numpy()
         tab = prf_table(
-            test_pd["label"].to_numpy(),
-            np.array([MAJOR_TYPES[i] for i in pred_lab]),
+            test_pd["label"].to_numpy(), np.array(MAJOR_TYPES)[probs.argmax(axis=1)],
             MAJOR_TYPES,
         )
         tab.insert(0, "algorithm", name)
@@ -206,35 +199,13 @@ def table6(
         spark, ex.edges, ex.interactions, ex.users, ex.train_df(spark),
         variant="cnn", cnn_epochs=cnn_epochs,
     )
-    rows = []
-    total = res.timings["total"]
-    paper_total = PAPER_TABLE6_HOURS["total"]
-    for phase in ("phase1", "phase2", "phase3"):
-        rows.append(
-            {
-                "stage": phase,
-                "seconds": res.timings[phase],
-                "share": res.timings[phase] / total,
-                "paper_hours": PAPER_TABLE6_HOURS[phase],
-                "paper_share": PAPER_TABLE6_HOURS[phase] / paper_total,
-            }
-        )
-    rows.append(
-        {
-            "stage": "total",
-            "seconds": total,
-            "share": 1.0,
-            "paper_hours": paper_total,
-            "paper_share": 1.0,
-        }
-    )
-    rows.append(
-        {
-            "stage": "training",
-            "seconds": res.train_time,
-            "share": np.nan,
-            "paper_hours": PAPER_TABLE6_HOURS["training"],
-            "paper_share": np.nan,
-        }
-    )
+    res.unpersist()
+    t, paper = res.timings, PAPER_TABLE6_HOURS
+    rows = [
+        {"stage": s, "seconds": t[s], "share": t[s] / t["total"],
+         "paper_hours": paper[s], "paper_share": paper[s] / paper["total"]}
+        for s in ("phase1", "phase2", "phase3", "total")
+    ]
+    rows.append({"stage": "training", "seconds": res.train_time, "share": np.nan,
+                 "paper_hours": paper["training"], "paper_share": np.nan})
     return pd.DataFrame(rows)

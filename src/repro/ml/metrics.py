@@ -37,9 +37,3 @@ def prf_table(y_true, y_pred, labels: list[str]) -> pd.DataFrame:
     rows.append({"type": "overall", "precision": mp, "recall": mr, "f1": _f1(mp, mr)})
     return pd.DataFrame(rows)
 
-
-def overall_f1(y_true, y_pred, labels: list[str]) -> float:
-    """Convenience: the 'overall' F1 cell of :func:`prf_table`."""
-    t = prf_table(y_true, y_pred, labels)
-    return float(t.loc[t["type"] == "overall", "f1"].iloc[0])
-

@@ -17,12 +17,16 @@ def setup(spark):
     edges, inter, users = to_spark(spark, net)
     member_df = member_features(spark, edges, inter, users).cache()
     member_df.count()
+    labeled_edges = spark.createDataFrame(
+        net.edges[net.edges["label"].isin(MAJOR_TYPES)]
+    )
+    labeled = CC.labeled_communities(member_df, labeled_edges)
     matrices = community_frame(member_df)
-    return net, edges, users, member_df, matrices
+    return net, member_df, labeled, matrices
 
 
 def test_matrix_rows_one_per_community(setup):
-    net, edges, users, member_df, matrices = setup
+    net, member_df, labeled, matrices = setup
     n_comms = member_df.select("ego", "comm_id").distinct().count()
     assert matrices.count() == n_comms
 
@@ -46,7 +50,7 @@ def test_matrix_zero_padding_small_communities(setup):
 
 
 def test_community_labels_majority(spark, setup):
-    net, edges, users, member_df, matrices = setup
+    net, member_df, labeled, matrices = setup
     labeled_edges = spark.createDataFrame(
         net.edges[net.edges["label"].isin(MAJOR_TYPES)]
     )
@@ -81,12 +85,7 @@ def test_community_labels_majority(spark, setup):
 def test_train_and_distributed_inference_agree(spark, setup, variant):
     """mapInPandas inference with broadcast weights must equal a
     driver-side predict."""
-    net, edges, users, member_df, matrices = setup
-    labeled_edges = spark.createDataFrame(
-        net.edges[net.edges["label"].isin(MAJOR_TYPES)]
-    )
-    labels = CC.community_labels(member_df, labeled_edges)
-    labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
+    net, member_df, labeled, matrices = setup
     model = CC.train_community_model(
         labeled, variant=variant, k=10, seed=0, cnn_epochs=3, gbdt_rounds=5
     )
@@ -109,12 +108,7 @@ def test_train_and_distributed_inference_agree(spark, setup, variant):
 @pytest.mark.parametrize("variant", ["xgb", "cnn"])
 def test_training_ignores_row_order(spark, setup, variant):
     """The model must not depend on the order Spark collects rows in."""
-    net, edges, users, member_df, matrices = setup
-    labeled_edges = spark.createDataFrame(
-        net.edges[net.edges["label"].isin(MAJOR_TYPES)]
-    )
-    labels = CC.community_labels(member_df, labeled_edges)
-    labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
+    net, member_df, labeled, matrices = setup
 
     def probs(frame):
         model = CC.train_community_model(
@@ -127,12 +121,7 @@ def test_training_ignores_row_order(spark, setup, variant):
 
 
 def test_probs_are_distributions(spark, setup):
-    net, edges, users, member_df, matrices = setup
-    labeled_edges = spark.createDataFrame(
-        net.edges[net.edges["label"].isin(MAJOR_TYPES)]
-    )
-    labels = CC.community_labels(member_df, labeled_edges)
-    labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
+    net, member_df, labeled, matrices = setup
     model = CC.train_community_model(labeled, variant="xgb", k=10, gbdt_rounds=5)
     out = CC.classify_communities(spark, matrices, model).toPandas()
     s = out[CC.PROB_COLS].sum(axis=1)

@@ -16,14 +16,11 @@ def setup(spark):
     net = generate(NetConfig(n_nodes=220, seed=31))
     edges, inter, users = to_spark(spark, net)
     member_df = member_features(spark, edges, inter, users).cache()
-    matrices = community_frame(member_df)
-    labeled_edges = spark.createDataFrame(
-        net.edges[net.edges["label"].isin(MAJOR_TYPES)]
+    labeled = CC.labeled_communities(
+        member_df, spark.createDataFrame(net.edges[net.edges["label"].isin(MAJOR_TYPES)])
     )
-    labels = CC.community_labels(member_df, labeled_edges)
-    labeled = matrices.join(labels, on=["ego", "comm_id"]).toPandas()
     model = CC.train_community_model(labeled, variant="xgb", k=10, gbdt_rounds=5)
-    comm_res = CC.classify_communities(spark, matrices, model).cache()
+    comm_res = CC.classify_communities(spark, community_frame(member_df), model).cache()
     feats = EF.edge_features(member_df, comm_res).cache()
     feats.count()
     return net, edges, member_df, comm_res, feats
@@ -131,11 +128,11 @@ def test_distributed_lr_matches_driver(spark, setup):
         .reset_index(drop=True)
     )
     local_feats = feats.toPandas().sort_values(["src", "dst"]).reset_index(drop=True)
-    X = np.stack([np.asarray(f) for f in local_feats["features"]])
-    local_probs = model.predict_proba(X)
+    local = EF.predict_edges(model, local_feats)
     assert np.allclose(
-        dist[[f"p_{t}" for t in MAJOR_TYPES]].to_numpy(), local_probs, atol=1e-9
+        dist[CC.PROB_COLS].to_numpy(), local[CC.PROB_COLS].to_numpy(), atol=1e-9
     )
+    assert dist["pred"].tolist() == local["pred"].tolist()
 
 
 def test_edge_model_ignores_row_order(spark, setup):

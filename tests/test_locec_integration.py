@@ -2,7 +2,6 @@
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import DataFrame
 
 from repro.core.experiment import make_experiment, score_edge_predictions
 from repro.core.locec import run_locec
@@ -93,9 +92,7 @@ def test_result_frames_hold_every_cached_frame(spark):
         variant="xgb", gbdt_rounds=2, lr_epochs=10,
     )
     assert persistent().size() > start
-    for v in vars(res).values():
-        if isinstance(v, DataFrame):
-            v.unpersist(blocking=True)
+    res.unpersist()
     assert persistent().size() == start
 
 
@@ -119,9 +116,7 @@ def test_edge_predictions_independent_of_shuffle_partitions(spark, variant):
                 res.edge_pred.toPandas().sort_values(["src", "dst"], ignore_index=True)
             )
             # the next run has the same plans and would read these caches
-            for v in vars(res).values():
-                if isinstance(v, DataFrame):
-                    v.unpersist(blocking=True)
+            res.unpersist()
     finally:
         for c, v in saved.items():
             spark.conf.set(c, v)
@@ -152,9 +147,7 @@ def test_triangle_free_network_predicts_every_edge_once(spark, variant):
         variant=variant, gbdt_rounds=3, cnn_epochs=2, lr_epochs=20,
     )
     pred = res.edge_pred.toPandas()
-    for v in vars(res).values():
-        if isinstance(v, DataFrame):
-            v.unpersist(blocking=True)
+    res.unpersist()
     assert len(pred) == len(edges)
     assert not pred.duplicated(["src", "dst"]).any()
     assert set(zip(pred["src"], pred["dst"])) == set(zip(edges["src"], edges["dst"]))

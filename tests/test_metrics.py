@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.metrics import overall_f1, prf_table
+from repro.ml.metrics import prf_table
 
 
 def test_perfect_prediction():
@@ -45,10 +45,6 @@ def test_abstention_marker_hurts_recall_not_precision():
 def test_rows_order_and_overall_last():
     t = prf_table(["a"], ["a"], ["b", "a"])
     assert list(t["type"]) == ["b", "a", "overall"]
-
-
-def test_overall_f1_helper():
-    assert overall_f1(["a", "b"], ["a", "b"], ["a", "b"]) == 1.0
 
 
 def test_integer_labels_work():

@@ -53,7 +53,11 @@ def test_table5_small(spark, small_ex):
 
 
 def test_table6_small(spark, small_ex):
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    start = persistent().size()
     tab = T.table6(spark, cnn_epochs=4, experiment=small_ex)
+    # run_locec's cached frames are released: a later run redoes Phase I
+    assert persistent().size() == start
     stages = tab.set_index("stage")
     assert stages.loc["total", "seconds"] == pytest.approx(
         stages.loc[["phase1", "phase2", "phase3"], "seconds"].sum()
