@@ -33,9 +33,10 @@ import numpy as np
 import pandas as pd
 
 from repro.ml.logreg import LogisticRegression
-from repro.socialnet.generator import INTERACTION_DIMS, MAJOR_TYPES
+from repro.socialnet.generator import INTERACTION_DIMS, LABEL_TO_IDX, MAJOR_TYPES
 
 _BUCKETS = 4  # log2 count buckets per interaction dimension
+_RANK = 24  # latent edge factors kept from the SVD
 
 
 def edge_word_matrix(interactions: pd.DataFrame) -> np.ndarray:
@@ -64,11 +65,6 @@ def _svd_factors(W: np.ndarray, rank: int) -> np.ndarray:
 class Economix:
     """Fit/predict wrapper following the experiment harness protocol."""
 
-    def __init__(self, rank: int = 24, seed: int = 0, lr_epochs: int = 300):
-        self.rank = rank
-        self.seed = seed
-        self.lr_epochs = lr_epochs
-
     def _label_dist(self, node: int) -> np.ndarray:
         d = self._node_labels.get(int(node))
         if d is None:
@@ -88,11 +84,10 @@ class Economix:
         if not w:
             return np.zeros(len(MAJOR_TYPES) + 1)
         votes = np.zeros(len(MAJOR_TYPES))
-        lab_idx = {t: i for i, t in enumerate(MAJOR_TYPES)}
         for x in w:
             for other, lab in self._incident.get(x, []):
                 if other in w and other > x:
-                    votes[lab_idx[lab]] += 1
+                    votes[LABEL_TO_IDX[lab]] += 1
         t = votes.sum()
         dist = votes / t if t else votes
         return np.concatenate([dist, [len(w)]])
@@ -116,7 +111,7 @@ class Economix:
         inter = self._edges[["src", "dst", "_eid"]].merge(
             interactions, on=["src", "dst"], how="left"
         ).fillna(0)
-        self._factors = _svd_factors(edge_word_matrix(inter), self.rank)
+        self._factors = _svd_factors(edge_word_matrix(inter), _RANK)
         # adjacency over the *whole* graph (structure is label-free)
         self._nbrs: dict = {}
         for s, d in self._edges[["src", "dst"]].itertuples(index=False):
@@ -126,18 +121,15 @@ class Economix:
         # per-node visible label distributions (the propagation signal)
         self._node_labels = {}
         self._incident: dict = {}
-        lab_idx = {t: i for i, t in enumerate(MAJOR_TYPES)}
         for s, d, lab in train[["src", "dst", "label"]].itertuples(index=False):
             for n, o in ((int(s), int(d)), (int(d), int(s))):
                 v = self._node_labels.setdefault(n, np.zeros(len(MAJOR_TYPES)))
-                v[lab_idx[lab]] += 1
+                v[LABEL_TO_IDX[lab]] += 1
                 self._incident.setdefault(n, []).append((o, lab))
         tr = self._edges.merge(train, on=["src", "dst"])
         X = self._features(tr)
-        y = tr["label"].map(lab_idx).to_numpy()
-        self._lr = LogisticRegression(
-            n_classes=len(MAJOR_TYPES), seed=self.seed, epochs=self.lr_epochs
-        ).fit(X, y)
+        y = tr["label"].map(LABEL_TO_IDX).to_numpy()
+        self._lr = LogisticRegression(n_classes=len(MAJOR_TYPES)).fit(X, y)
         return self
 
     def predict(self, pairs: pd.DataFrame) -> pd.DataFrame:

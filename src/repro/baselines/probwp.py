@@ -9,7 +9,7 @@ nodes most similar to u (S_u) and to v (S_v); the dominant label among
 prediction. The method abstains when no labeled edge spans S_u × S_v —
 which is why its F1 collapses at low label percentages (paper Fig. 11).
 
-Signatures are computed distributed (grouped pandas UDF over the
+Signatures are computed distributed (one aggregation over the
 adjacency list); the top-k similarity search and voting run on the
 driver over the collected signature matrix, which is exact at our
 sub-graph scale (the original operates on a labeled sub-graph too).
@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 from repro.core.ego import adjacency
 
@@ -30,28 +31,22 @@ def minhash_signatures(
 ) -> pd.DataFrame:
     """Per-node min-hash signature of the neighbor set.
 
-    Returns a pandas frame (node, s_0..s_{H-1}); computed with a
-    grouped pandas UDF so the shuffle/groupBy runs in Spark.
+    Returns a pandas frame (node, s_0..s_{H-1}) in node order; computed
+    as one Spark aggregation, ``s_i = min((a_i·member + b_i) mod P)``
+    over each node's neighbors. The order is fixed because
+    :meth:`ProbWP._top_similar` breaks similarity ties by row.
     """
     g = np.random.default_rng(seed)
     a = g.integers(1, _PRIME, n_hashes, dtype=np.int64)
     b = g.integers(0, _PRIME, n_hashes, dtype=np.int64)
-    bc = spark.sparkContext.broadcast((a, b))
-
-    def sig(pdf: pd.DataFrame) -> pd.DataFrame:
-        aa, bb = bc.value
-        nbrs = pdf["member"].to_numpy(dtype=np.int64)
-        h = (aa[None, :] * nbrs[:, None] + bb[None, :]) % _PRIME
-        row = {"node": pdf["ego"].iloc[0]}
-        row.update({f"s_{i}": int(v) for i, v in enumerate(h.min(axis=0))})
-        return pd.DataFrame([row])
-
-    schema = "node long, " + ", ".join(f"s_{i} long" for i in range(n_hashes))
+    member = F.col("member").cast("long")
     return (
         adjacency(edges.select("src", "dst"))
-        .groupBy("ego")
-        .applyInPandas(sig, schema=schema)
+        .groupBy(F.col("ego").alias("node"))
+        .agg(*(F.min((F.lit(int(ai)) * member + F.lit(int(bi))) % _PRIME).alias(f"s_{i}")
+               for i, (ai, bi) in enumerate(zip(a, b))))
         .toPandas()
+        .sort_values("node", ignore_index=True)
     )
 
 

@@ -15,15 +15,14 @@ import numpy as np
 import pandas as pd
 
 from repro.ml.gbdt import GBDT
-from repro.socialnet.generator import INTERACTION_DIMS, MAJOR_TYPES, USER_FEATURES
+from repro.socialnet.generator import INTERACTION_DIMS, LABEL_TO_IDX, MAJOR_TYPES, USER_FEATURES
 
 
 class XGBoostEdge:
     """Fit/predict wrapper following the experiment harness protocol."""
 
-    def __init__(self, n_rounds: int = 40, max_depth: int = 3):
+    def __init__(self, n_rounds: int = 40):
         self.n_rounds = n_rounds
-        self.max_depth = max_depth
 
     def _features(self, pairs: pd.DataFrame) -> np.ndarray:
         fu = self._users.loc[pairs["src"], USER_FEATURES].to_numpy()
@@ -39,11 +38,8 @@ class XGBoostEdge:
         self._users = users.set_index("user_id")
         self._inter = interactions
         X = self._features(train)
-        y = train["label"].map({t: i for i, t in enumerate(MAJOR_TYPES)}).to_numpy()
-        self._gbdt = GBDT(
-            n_classes=len(MAJOR_TYPES), n_rounds=self.n_rounds,
-            max_depth=self.max_depth,
-        ).fit(X, y)
+        y = train["label"].map(LABEL_TO_IDX).to_numpy()
+        self._gbdt = GBDT(n_classes=len(MAJOR_TYPES), n_rounds=self.n_rounds).fit(X, y)
         return self
 
     def predict(self, pairs: pd.DataFrame) -> pd.DataFrame:

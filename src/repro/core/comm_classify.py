@@ -33,10 +33,8 @@ from repro.core import features as FT
 from repro.core.communities import community_frame
 from repro.ml.cnn import CNNConfig, CommCNN
 from repro.ml.gbdt import GBDT
-from repro.socialnet.generator import MAJOR_TYPES
+from repro.socialnet.generator import LABEL_TO_IDX, MAJOR_TYPES
 
-#: class-index mapping used everywhere (fixed order: colleague, family, schoolmate)
-LABEL_TO_IDX = {t: i for i, t in enumerate(MAJOR_TYPES)}
 IDX_TO_LABEL = {i: t for t, i in LABEL_TO_IDX.items()}
 
 PROB_COLS = [f"p_{t}" for t in MAJOR_TYPES]

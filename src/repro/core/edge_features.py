@@ -24,9 +24,9 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.comm_classify import IDX_TO_LABEL, LABEL_TO_IDX, PROB_COLS, _infer_on_executors
+from repro.core.comm_classify import IDX_TO_LABEL, PROB_COLS, _infer_on_executors
 from repro.ml.logreg import LogisticRegression
-from repro.socialnet.generator import MAJOR_TYPES
+from repro.socialnet.generator import LABEL_TO_IDX, MAJOR_TYPES
 
 EDGE_PRED_SCHEMA = (
     "src long, dst long, "

@@ -5,6 +5,13 @@ same algorithm family from scratch: second-order boosting with a
 softmax objective, one regression tree per class per round, exact
 greedy splits, and XGBoost's leaf weight ``-G/(H+λ)`` and split gain.
 
+As in XGBoost's column blocks (Chen & Guestrin, KDD 2016, Sec. 4.1),
+``fit`` sorts every feature once; each node's per-feature sample order
+is its parent's, filtered stably by the split, and one cumulative sum
+scores every split of every feature at once. The builder grows each
+tree straight into the model's arrays and writes each leaf's value for
+its samples as it places them, so boosting never re-walks a tree.
+
 Each tree is stored as heap-ordered arrays: node ``i`` has children
 ``2i+1`` and ``2i+2``, ``feature == -1`` marks a leaf, and a sample
 goes left when ``x[feature] < threshold`` (so NaN goes right). A fitted
@@ -48,67 +55,49 @@ def _walk(feature, threshold, value, X, max_depth) -> np.ndarray:
     return value[trees, node]
 
 
-class _Tree:
-    """One regression tree fit to (gradient, hessian) pairs."""
+def _best_split(xs, g, h, G, H):
+    """Exact greedy split of one node, over all its features at once.
 
-    def __init__(self, max_depth: int, reg_lambda: float, gamma: float,
-                 min_child_weight: float):
-        self.max_depth = max_depth
-        self.reg_lambda = reg_lambda
-        self.gamma = gamma
-        self.min_child_weight = min_child_weight
-        n = _n_nodes(max_depth)
-        self.feature = np.full(n, -1, dtype=np.int64)
-        self.threshold = np.zeros(n)
-        self.value = np.zeros(n)
+    Row ``f`` of ``xs``, ``g`` and ``h`` lists the node's samples in
+    ascending order of feature ``f``; ``G`` and ``H`` are the node's
+    sums. Returns ``(feature, threshold, gain)`` at the largest gain:
+    the first feature holding it, at that feature's first position.
+    """
+    base = G * G / (H + REG_LAMBDA)
+    Gl = np.cumsum(g, axis=1)[:, :-1]
+    Hl = np.cumsum(h, axis=1)[:, :-1]
+    Gr, Hr = G - Gl, H - Hl
+    valid = (xs[:, 1:] != xs[:, :-1]) & (Hl >= MIN_CHILD_WEIGHT) & (
+        Hr >= MIN_CHILD_WEIGHT
+    )
+    gain = 0.5 * (
+        Gl**2 / (Hl + REG_LAMBDA) + Gr**2 / (Hr + REG_LAMBDA) - base
+    ) - GAMMA
+    gain[~valid] = -np.inf
+    f, i = np.unravel_index(np.argmax(gain), gain.shape)  # feature-major
+    return int(f), (xs[f, i] + xs[f, i + 1]) / 2, gain[f, i]
 
-    def _leaf_value(self, g: np.ndarray, h: np.ndarray) -> float:
-        return float(-g.sum() / (h.sum() + self.reg_lambda))
 
-    def _best_split(self, X, g, h):
-        G, H = g.sum(), h.sum()
-        base = G * G / (H + self.reg_lambda)
-        best = (None, None, 0.0)  # feature, threshold, gain
-        for f in range(X.shape[1]):
-            order = np.argsort(X[:, f], kind="stable")
-            xs, gs, hs = X[order, f], g[order], h[order]
-            Gl = np.cumsum(gs)[:-1]
-            Hl = np.cumsum(hs)[:-1]
-            Gr, Hr = G - Gl, H - Hl
-            valid = (xs[1:] != xs[:-1]) & (Hl >= self.min_child_weight) & (
-                Hr >= self.min_child_weight
-            )
-            if not valid.any():
-                continue
-            gain = 0.5 * (
-                Gl**2 / (Hl + self.reg_lambda)
-                + Gr**2 / (Hr + self.reg_lambda)
-                - base
-            ) - self.gamma
-            gain[~valid] = -np.inf
-            i = int(np.argmax(gain))
-            if gain[i] > best[2]:
-                best = (f, float((xs[i] + xs[i + 1]) / 2), float(gain[i]))
-        return best
-
-    def _build(self, X, g, h, depth, node) -> None:
-        if depth < self.max_depth and len(g) >= 2:
-            f, thr, gain = self._best_split(X, g, h)
-            if f is not None and gain > 0:
-                self.feature[node], self.threshold[node] = f, thr
-                mask = X[:, f] < thr
-                self._build(X[mask], g[mask], h[mask], depth + 1, 2 * node + 1)
-                self._build(X[~mask], g[~mask], h[~mask], depth + 1, 2 * node + 2)
-                return
-        self.value[node] = self._leaf_value(g, h)
-
-    def fit(self, X, g, h) -> "_Tree":
-        self._build(np.asarray(X), np.asarray(g), np.asarray(h), 0, 0)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return _walk(self.feature[None], self.threshold[None], self.value[None],
-                     np.asarray(X), self.max_depth)[:, 0]
+def _grow(tree, X, order, idx, g, h, leaf, node=0) -> None:
+    """Grow the subtree at heap ``node`` of ``tree = (feature,
+    threshold, value)`` on the samples ``idx`` (ascending), whose row
+    ``f`` of ``order`` lists them by feature ``f``; write each leaf's
+    value into the tree and into ``leaf`` at its samples."""
+    feature, threshold, value = tree
+    G, H = g[idx].sum(), h[idx].sum()  # in sample order, as at the root
+    if 2 * node + 1 < len(feature) and len(idx) >= 2:
+        xs = np.take_along_axis(X.T, order, axis=1)
+        f, thr, gain = _best_split(xs, g[order], h[order], G, H)
+        if gain > 0:
+            feature[node], threshold[node] = f, thr
+            left = X[:, f] < thr
+            keep = left[order]  # stable: ties stay in sample order
+            _grow(tree, X, order[keep].reshape(len(order), -1), idx[left[idx]],
+                  g, h, leaf, 2 * node + 1)
+            _grow(tree, X, order[~keep].reshape(len(order), -1), idx[~left[idx]],
+                  g, h, leaf, 2 * node + 2)
+            return
+    value[node] = leaf[idx] = -G / (H + REG_LAMBDA)
 
 
 @dataclass
@@ -135,17 +124,17 @@ class GBDT:
         self.feature = np.full(shape, -1, dtype=np.int64)
         self.threshold = np.zeros(shape)
         self.value = np.zeros(shape)
+        order = np.argsort(X.T, axis=1, kind="stable")  # one sort per fit
+        leaf = np.empty(n)
         for r in range(self.n_rounds):
             P = softmax(F)
             G = P - Y                      # gradient of softmax CE
             H = np.maximum(P * (1 - P), 1e-6)  # diagonal hessian
             for k in range(self.n_classes):
-                t = _Tree(self.max_depth, REG_LAMBDA, GAMMA,
-                          MIN_CHILD_WEIGHT).fit(X, G[:, k], H[:, k])
-                F[:, k] += LEARNING_RATE * t.predict(X)
                 i = r * self.n_classes + k
-                self.feature[i], self.threshold[i], self.value[i] = (
-                    t.feature, t.threshold, t.value)
+                tree = (self.feature[i], self.threshold[i], self.value[i])
+                _grow(tree, X, order, np.arange(n), G[:, k], H[:, k], leaf)
+                F[:, k] += LEARNING_RATE * leaf
         return self
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:

@@ -37,6 +37,7 @@ COLLEAGUE = "colleague"
 SCHOOLMATE = "schoolmate"
 OTHER = "other"
 MAJOR_TYPES = [COLLEAGUE, FAMILY, SCHOOLMATE]  # fixed class order everywhere
+LABEL_TO_IDX = {t: i for i, t in enumerate(MAJOR_TYPES)}  # class index of a label
 ALL_TYPES = MAJOR_TYPES + [OTHER]
 
 # Interaction dimensions |I| = 8 (paper: messaging, liking/commenting on

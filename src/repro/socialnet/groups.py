@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
+from repro.ml.metrics import prf_table
 from repro.socialnet.generator import COLLEAGUE, FAMILY, SCHOOLMATE, SocialNetwork
 
 # name-fragment pools for generic (non-indicative) group names
@@ -151,19 +152,9 @@ def group_name_table(net: SocialNetwork, cfg: GroupConfig | None = None) -> pd.D
     pairs (predictions on non-friend pairs are dropped, mirroring the
     paper's friend-pair evaluation universe).
     """
-    from repro.ml.metrics import prf_table  # local import: avoid cycle
-
     groups = make_groups(net, cfg)
     preds = rule_mine_pairs(groups)
     truth = net.edges[["src", "dst", "label"]]
     merged = truth.merge(preds, on=["src", "dst"], how="left")
-    rows = []
-    for t in (FAMILY, COLLEAGUE, SCHOOLMATE):
-        tp = int(((merged["pred"] == t) & (merged["label"] == t)).sum())
-        fp = int(((merged["pred"] == t) & (merged["label"] != t)).sum())
-        fn = int(((merged["pred"] != t) & (merged["label"] == t)).sum())
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * p * r / (p + r) if p + r else 0.0
-        rows.append({"type": t, "precision": p, "recall": r, "f1": f1})
-    return pd.DataFrame(rows)
+    types = [FAMILY, COLLEAGUE, SCHOOLMATE]
+    return prf_table(merged["label"], merged["pred"], types).iloc[: len(types)]

@@ -47,6 +47,24 @@ def test_minhash_deterministic(spark, ex):
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_probwp_independent_of_shuffle_partitions(spark, ex):
+    """ProbWP breaks similarity ties by signature row, so its predictions
+    must not change with the number of shuffle partitions (AQE
+    coalescing off, so 8 really means 8)."""
+    keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    saved = {c: spark.conf.get(c) for c in keys}
+    preds = []
+    try:
+        spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
+        for n in (1, 8):
+            spark.conf.set("spark.sql.shuffle.partitions", n)
+            preds.append(ProbWP(top_k=10).fit(spark, ex.edges, ex.train).predict(ex.test))
+    finally:
+        for c, v in saved.items():
+            spark.conf.set(c, v)
+    pd.testing.assert_frame_equal(*preds)
+
+
 def test_probwp_paper_hash_count_default():
     assert ProbWP().n_hashes == 20  # paper: "number of min-hash functions is set to 20"
 

@@ -9,7 +9,7 @@ from repro.core import features as FT
 from repro.core.communities import community_frame, member_features
 from repro.core.girvan_newman import girvan_newman
 from repro.oracle import assert_equivalent
-from repro.socialnet.generator import INTERACTION_DIMS, NetConfig, generate, to_spark
+from repro.socialnet.generator import INTERACTION_DIMS, USER_FEATURES, NetConfig, generate, to_spark
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +19,8 @@ def net():
 
 @pytest.fixture(scope="module")
 def member_pdf(spark, net):
-    edges, inter, _ = to_spark(spark, net)
-    return member_features(spark, edges, inter).toPandas()
+    edges, inter, users = to_spark(spark, net)
+    return member_features(spark, edges, inter, users).toPandas()
 
 
 def _reference_ego(net, ego):
@@ -90,6 +90,28 @@ def test_comm_sizes_oracle(spark, member_pdf):
 def test_singletons_have_tightness_one(member_pdf):
     singles = member_pdf[member_pdf["comm_size"] == 1]
     assert (singles["tightness"] == 1.0).all()
+
+
+def test_member_missing_from_users_gets_zero_features(spark, net):
+    """A friend with no users-table row still gets a member row in every
+    ego network (2|E| rows in all), with f_* = 0 in its community's rows;
+    every other member keeps its own features."""
+    edges, inter, users = to_spark(spark, net)
+    missing = int(net.edges[["src", "dst"]].stack().value_counts().index[0])
+    pdf = member_features(
+        spark, edges, inter, users.where(F.col("user_id") != missing)
+    ).toPandas()
+    assert len(pdf) == 2 * net.n_edges
+    want = net.users.set_index("user_id")[USER_FEATURES]
+    want.loc[missing] = 0.0
+    f_cols = [FT.ROW_COLS.index(c) for c in USER_FEATURES]
+    holding = pdf.loc[pdf["member"] == missing, ["ego", "comm_id"]]
+    assert len(holding) == (net.edges[["src", "dst"]] == missing).to_numpy().sum()
+    for ego, comm_id in holding.itertuples(index=False):
+        comm = pdf[(pdf["ego"] == ego) & (pdf["comm_id"] == comm_id)]
+        (rows,) = comm["rows"].dropna()
+        got = np.asarray(rows).reshape(len(comm), len(FT.ROW_COLS))[:, f_cols]
+        assert np.array_equal(got, want.loc[sorted(comm["member"])].to_numpy())
 
 
 def _collected(df, key):
