@@ -34,31 +34,46 @@ from repro.ml.logreg import adam_step, softmax
 # --------------------------------------------------------------------
 # minimal layer library (forward + backward, Adam-ready param dicts)
 # --------------------------------------------------------------------
-def _im2col(Xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(B,C,H,W) → (B, C*kh*kw, Ho*Wo) patch matrix, stride 1."""
-    B, C, H, W = Xp.shape
+def _im2col(X: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(B,C,H,W) → (C*kh*kw, B*Ho*Wo) patch matrix, stride 1: row
+    (c, i, j), column (b, y, x) holds ``X[b, c, y + i, x + j]``, so one
+    GEMM convolves the whole batch. A 1×1 kernel's patches are ``X``
+    itself, reshaped (a view when ``X`` is channel-major in memory, as a
+    conv output stays through the BatchNorm and ReLU after it)."""
+    B, C, H, W = X.shape
+    Xc = X.transpose(1, 0, 2, 3)
+    if kh == kw == 1:
+        return Xc.reshape(C, B * H * W)
     Ho, Wo = H - kh + 1, W - kw + 1
-    cols = np.empty((B, C, kh, kw, Ho, Wo), dtype=Xp.dtype)
+    cols = np.empty((C, kh, kw, B, Ho, Wo), dtype=X.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = Xp[:, :, i : i + Ho, j : j + Wo]
-    return cols.reshape(B, C * kh * kw, Ho * Wo)
+            cols[:, i, j] = Xc[:, :, i : i + Ho, j : j + Wo]
+    return cols.reshape(C * kh * kw, B * Ho * Wo)
 
 
 def _col2im(dcols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back."""
+    """Adjoint of :func:`_im2col`: scatter-add (C*kh*kw, B*Ho*Wo)
+    patches back onto a (B,C,H,W) map (channel-major in memory)."""
     B, C, H, W = shape
+    if kh == kw == 1:
+        return dcols.reshape(C, B, H, W).transpose(1, 0, 2, 3)
     Ho, Wo = H - kh + 1, W - kw + 1
-    d = dcols.reshape(B, C, kh, kw, Ho, Wo)
-    dX = np.zeros(shape, dtype=dcols.dtype)
+    d = dcols.reshape(C, kh, kw, B, Ho, Wo)
+    dX = np.zeros((C, B, H, W), dtype=dcols.dtype)
     for i in range(kh):
         for j in range(kw):
-            dX[:, :, i : i + Ho, j : j + Wo] += d[:, :, i, j]
-    return dX
+            dX[:, :, i : i + Ho, j : j + Wo] += d[:, i, j]
+    return dX.transpose(1, 0, 2, 3)
 
 
 class Conv2D:
-    """Stride-1 convolution with optional symmetric zero padding."""
+    """Stride-1 convolution with optional symmetric zero padding.
+
+    Forward is one BLAS GEMM over the whole batch, ``W @ cols``;
+    backward is two, ``dout @ cols.T`` and ``W.T @ dout``. The output
+    map is a (B,C,H,W) view of channel-major memory.
+    """
 
     def __init__(self, c_in, c_out, kh, kw, pad=0, rng=None):
         scale = np.sqrt(2.0 / (c_in * kh * kw))
@@ -72,21 +87,17 @@ class Conv2D:
     def forward(self, X):
         if self.pad:
             X = np.pad(X, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
-        self._Xp_shape = X.shape
+        self._Xp_shape = B, _, H, W = X.shape
         self._cols = _im2col(X, self.kh, self.kw)
-        B = X.shape[0]
-        Ho = X.shape[2] - self.kh + 1
-        Wo = X.shape[3] - self.kw + 1
-        out = np.einsum("ok,bkl->bol", self.W, self._cols) + self.b[None, :, None]
-        return out.reshape(B, self.c_out, Ho, Wo)
+        out = self.W @ self._cols
+        out += self.b[:, None]
+        return out.reshape(self.c_out, B, H - self.kh + 1, W - self.kw + 1).transpose(1, 0, 2, 3)
 
     def backward(self, dout):
-        B, _, Ho, Wo = dout.shape
-        dflat = dout.reshape(B, self.c_out, Ho * Wo)
-        self.dW += np.einsum("bol,bkl->ok", dflat, self._cols)
-        self.db += dflat.sum(axis=(0, 2))
-        dcols = np.einsum("ok,bol->bkl", self.W, dflat)
-        dXp = _col2im(dcols, self._Xp_shape, self.kh, self.kw)
+        dflat = dout.transpose(1, 0, 2, 3).reshape(self.c_out, -1)
+        self.dW += dflat @ self._cols.T
+        self.db += dflat.sum(axis=1)
+        dXp = _col2im(self.W.T @ dflat, self._Xp_shape, self.kh, self.kw)
         if self.pad:
             p = self.pad
             dXp = dXp[:, :, p:-p, p:-p]

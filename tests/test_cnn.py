@@ -35,15 +35,57 @@ def _num_grad(f, x, eps=1e-5):
 
 
 def test_im2col_col2im_adjoint():
-    """<im2col(X), C> == <X, col2im(C)> — the pair must be adjoint."""
+    """<im2col(X), C> == <X, col2im(C)> — the pair must be adjoint, for
+    a general kernel, a 1×1 one (plain reshapes) and a k×1 one."""
     X = RNG.normal(size=(2, 3, 5, 4))
-    C = RNG.normal(size=(2, 3 * 2 * 2, 4 * 3))
-    lhs = (_im2col(X, 2, 2) * C).sum()
-    rhs = (X * _col2im(C, X.shape, 2, 2)).sum()
-    assert lhs == pytest.approx(rhs)
+    for kh, kw in [(2, 2), (1, 1), (5, 1)]:
+        C = RNG.normal(size=(3 * kh * kw, 2 * (5 - kh + 1) * (4 - kw + 1)))
+        lhs = (_im2col(X, kh, kw) * C).sum()
+        rhs = (X * _col2im(C, X.shape, kh, kw)).sum()
+        assert lhs == pytest.approx(rhs)
 
 
-@pytest.mark.parametrize("kh,kw,pad", [(3, 3, 1), (1, 4, 0), (5, 1, 0)])
+def _direct_conv(X, W, b, kh, kw, pad):
+    """Loop reference: out[n,o,y,x] = b[o] + Σ_{c,i,j} W[o,(c,i,j)]
+    · Xp[n,c,y+i,x+j], Xp being X zero-padded by ``pad``, stride 1."""
+    Xp = np.pad(X, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    B, C, H, Wd = Xp.shape
+    Ho, Wo = H - kh + 1, Wd - kw + 1
+    W4 = W.reshape(len(b), C, kh, kw)
+    out = np.empty((B, len(b), Ho, Wo))
+    for n in range(B):
+        for o in range(len(b)):
+            for y in range(Ho):
+                for x in range(Wo):
+                    acc = b[o]
+                    for c in range(C):
+                        for i in range(kh):
+                            for j in range(kw):
+                                acc += W4[o, c, i, j] * Xp[n, c, y + i, x + j]
+                    out[n, o, y, x] = acc
+    return out
+
+
+@pytest.mark.parametrize(
+    "c_in,kh,kw,pad,H,W",
+    # every kernel CommCNN builds: square 3×3 (pad 1) on the 1-channel
+    # input and on 8 channels after a pool, wide 1×W, long k×1, and 1×1
+    [(1, 3, 3, 1, 20, 12), (8, 3, 3, 1, 10, 6), (1, 1, 12, 0, 20, 12),
+     (1, 20, 1, 0, 20, 12), (8, 1, 1, 0, 20, 1)],
+)
+def test_conv2d_forward_matches_direct_convolution(c_in, kh, kw, pad, H, W):
+    rng = np.random.default_rng(4)
+    conv = Conv2D(c_in, 3, kh, kw, pad=pad, rng=rng)
+    conv.b[:] = rng.normal(size=3)
+    X = rng.normal(size=(2, c_in, H, W))
+    expect = _direct_conv(X, conv.W, conv.b, kh, kw, pad)
+    # batch-major input, and channel-major memory as a conv layer emits
+    channel_major = np.ascontiguousarray(X.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    for x in (X, channel_major):
+        np.testing.assert_allclose(conv.forward(x), expect, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kh,kw,pad", [(3, 3, 1), (1, 4, 0), (5, 1, 0), (1, 1, 0)])
 def test_conv2d_gradients(kh, kw, pad):
     rng = np.random.default_rng(1)
     conv = Conv2D(2, 3, kh, kw, pad=pad, rng=rng)
@@ -191,7 +233,7 @@ def test_commcnn_deterministic():
                     col_channels=2, hidden=8, seed=5)
     a = CommCNN(cfg).fit(X, y).predict_proba(X)
     b = CommCNN(cfg).fit(X, y).predict_proba(X)
-    assert np.allclose(a, b)
+    assert np.array_equal(a, b)
 
 
 def test_commcnn_param_roundtrip():
