@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Reproduce paper Table VI: per-phase running time of LoCEC-CNN, plus
-the paper's Fig.-12-style scaling checks (input size and parallelism).
+the paper's Fig.-12a-style scaling check in input size.
 
 Absolute numbers are seconds on one local[*] machine rather than hours
 on 100 servers; the reproducible *shape* is the per-phase share

@@ -58,13 +58,14 @@ def community_labels(member_df: DataFrame, labeled_edges: DataFrame) -> DataFram
     community ground truth from *surveyed users'* ego networks, where
     most member edges carry labels (Sec. V-C).
     """
+    # both sides of each labeled edge, from one scan of it
     sides = labeled_edges.select(
-        F.col("src").alias("ego"), F.col("dst").alias("member"), "label"
-    ).unionByName(
-        labeled_edges.select(
-            F.col("dst").alias("ego"), F.col("src").alias("member"), "label"
-        )
-    )
+        F.explode(F.array(
+            F.struct(F.col("src").alias("ego"), F.col("dst").alias("member")),
+            F.struct(F.col("dst").alias("ego"), F.col("src").alias("member")),
+        )).alias("side"),
+        "label",
+    ).select("side.*", "label")
     votes = (
         member_df.select("ego", "member", "comm_id")
         .join(sides, on=["ego", "member"])
@@ -151,11 +152,12 @@ def predict_communities(model, pdf: pd.DataFrame) -> pd.DataFrame:
 def _infer_on_executors(
     spark: SparkSession, frame: DataFrame, model, predict, schema: str
 ) -> DataFrame:
-    """``predict(model, batch)`` over every non-empty batch of ``frame``:
-    ``model``'s ``get_params`` arrays are broadcast and rebuilt once per
-    task with ``from_params``."""
+    """``predict(model, batch)`` over every non-empty batch of ``frame``,
+    in at most one task per core: ``model``'s ``get_params`` arrays are
+    broadcast and rebuilt once per task with ``from_params``."""
     cls = type(model)
-    bc = spark.sparkContext.broadcast(model.get_params())
+    sc = spark.sparkContext
+    bc = sc.broadcast(model.get_params())
 
     def infer(batches):
         mdl = cls.from_params(bc.value)
@@ -163,7 +165,7 @@ def _infer_on_executors(
             if len(pdf):
                 yield predict(mdl, pdf)
 
-    return frame.mapInPandas(infer, schema=schema)
+    return frame.coalesce(sc.defaultParallelism).mapInPandas(infer, schema=schema)
 
 
 def classify_communities(spark: SparkSession, matrices: DataFrame, model) -> DataFrame:

@@ -2,14 +2,17 @@
 
 The paper's parallel unit is the ego network: "each node is parsed
 separately in a streaming scheme in all three phases" (Sec. V-D). We
-express that as one cogrouped pandas UDF: for every ego, Spark delivers
-(a) the member list with each member's individual features and (b) the
-ego-network edges with their interaction counters; the UDF runs
-Girvan–Newman and the Eq. 1 / Eq. 3 feature computation locally and
-emits one row per (ego, member). Each local community's member rows,
-from which Phase II builds each model's input, ride on the row of its
-first member, so :func:`community_frame` is a narrow projection of the
-member frame, with no second shuffle.
+express that as one shuffle and one pandas pass per task: every ego's
+member rows (each member with its individual features) and ego-network
+edge rows (with their interaction counters) go, as one frame, to one of
+``P = defaultParallelism`` tasks by a hash of the ego, sorted by ego
+there. Each task streams its rows ego by ego and runs Girvan–Newman and
+the Eq. 1 / Eq. 3 feature computation on each ego network in turn,
+emitting one row per (ego, member), so every core runs one Python task.
+Each local community's member rows, from which Phase II builds each
+model's input, ride on the row of its first member, so
+:func:`community_frame` is a narrow projection of the member frame,
+with no second shuffle.
 
 This replaces the GraphX/pregel sketch of the original system — GN is
 not a message-passing fixpoint, so the natural Spark formulation is
@@ -18,6 +21,7 @@ partitioned per-ego local computation over the triangle-join output
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -55,6 +59,39 @@ def _ego_udf(members: pd.DataFrame, eedges: pd.DataFrame) -> pd.DataFrame:
     return feats
 
 
+def _egos_udf(batches):
+    """Runs inside an executor over one partition's rows, sorted by ego:
+    :func:`_ego_udf` on each ego network in turn, at most one output
+    frame per input batch. An ego whose rows straddle a batch boundary is carried
+    into the next batch, and the last ego is flushed at the end, so
+    memory holds one batch plus one ego."""
+    carry = None
+    for pdf in batches:
+        if carry is not None:
+            pdf = pd.concat([carry, pdf], ignore_index=True)
+        ego = pdf["ego"].to_numpy()
+        # the first row of the batch's last ego, which may go on in the next
+        last = int(np.searchsorted(ego, ego[-1]))
+        if last:
+            yield _run_egos(pdf.iloc[:last])
+        carry = pdf.iloc[last:]
+    if carry is not None:
+        yield _run_egos(carry)
+
+
+def _run_egos(pdf: pd.DataFrame) -> pd.DataFrame:
+    """:func:`_ego_udf` over every ego of ``pdf``, which holds each of
+    its egos' member and edge rows in full."""
+    out = []
+    for _, rows in pdf.groupby("ego", sort=False):
+        edge = rows["is_edge"].to_numpy()
+        out.append(_ego_udf(
+            rows.loc[~edge, ["ego", "member", *USER_FEATURES]],
+            rows.loc[edge, ["src", "dst", *INTERACTION_DIMS]],
+        ))
+    return pd.concat(out, ignore_index=True)
+
+
 def member_features(
     spark: SparkSession,
     edges: DataFrame,
@@ -86,10 +123,23 @@ def member_features(
     ee = ego_edges(edges).join(interactions, on=["src", "dst"], how="left").na.fill(
         {c: 0 for c in INTERACTION_DIMS}
     )
+    # one frame of both kinds of row; the other kind's columns hold
+    # zeros, not nulls, so that no id or counter arrives as a float
+    zero = F.lit(0)
+    rows = members.select(
+        "ego", F.lit(False).alias("is_edge"), "member",
+        zero.alias("src"), zero.alias("dst"), *USER_FEATURES,
+        *(zero.alias(c) for c in INTERACTION_DIMS),
+    ).unionByName(ee.select(
+        "ego", F.lit(True).alias("is_edge"), zero.alias("member"),
+        "src", "dst", *(F.lit(0.0).alias(c) for c in USER_FEATURES),
+        *INTERACTION_DIMS,
+    ))
+    P = spark.sparkContext.defaultParallelism
     return (
-        members.groupBy("ego")
-        .cogroup(ee.groupBy("ego"))
-        .applyInPandas(_ego_udf, schema=MEMBER_SCHEMA)
+        rows.repartition(P, "ego")
+        .sortWithinPartitions("ego")
+        .mapInPandas(_egos_udf, schema=MEMBER_SCHEMA)
     )
 
 

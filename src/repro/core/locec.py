@@ -49,6 +49,15 @@ class LocecResult:
                 v.unpersist(blocking=True)
 
 
+def _check_rows(what: str, got: int, want: int, *cached: DataFrame) -> None:
+    """A phase boundary's row-count invariant; on failure the ``cached``
+    frames are released before it raises."""
+    if got != want:
+        for df in cached:
+            df.unpersist()
+        raise ValueError(f"{got} {what} rows, expected {want}")
+
+
 def run_locec(
     spark: SparkSession,
     edges: DataFrame,
@@ -70,13 +79,18 @@ def run_locec(
     covers every edge of the network.
 
     ``variant`` — "cnn" (LoCEC-CNN) or "xgb" (LoCEC-XGB).
+
+    Raises ``ValueError`` unless Phase I emits 2|E| member rows (each
+    edge once in each endpoint's ego network) and Phase III predicts
+    |E| edges.
     """
     timings: dict = {}
 
     # ---- Phase I: division -----------------------------------------
     t0 = time.perf_counter()
     member_df = member_features(spark, edges, interactions, users).cache()
-    member_df.count()
+    n_edges = edges.coalesce(1).count()  # one task, no shuffle
+    _check_rows("member", member_df.count(), 2 * n_edges, member_df)
     timings["phase1"] = time.perf_counter() - t0
 
     # ---- Phase II: aggregation -------------------------------------
@@ -111,8 +125,9 @@ def run_locec(
     train_time += lr_train
 
     edge_pred = EF.classify_edges(spark, feats, edge_model).cache()
-    edge_pred.count()
+    n_pred = edge_pred.count()
     feats.unpersist()
+    _check_rows("predicted edge", n_pred, n_edges, member_df, comm_results, edge_pred)
     timings["phase3"] = time.perf_counter() - t0 - lr_train
     timings["total"] = timings["phase1"] + timings["phase2"] + timings["phase3"]
 

@@ -1,5 +1,5 @@
-"""Tests for the distributed Phase I (+Eq. 1/3) dataflow: the Spark
-cogrouped UDF must agree with a driver-side reference implementation."""
+"""Tests for the distributed Phase I (+Eq. 1/3) dataflow: the per-task
+Spark UDF must agree with a driver-side reference implementation."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -146,3 +146,21 @@ def test_outputs_independent_of_shuffle_partitions(spark):
     assert len(comms_1) == members_1.groupby(["ego", "comm_id"]).ngroups
     pd.testing.assert_frame_equal(members_1, members_8, check_exact=True)
     pd.testing.assert_frame_equal(comms_1, comms_8, check_exact=True)
+
+
+def test_egos_straddling_arrow_batches(spark, net):
+    """With 5-row Arrow batches most egos' rows span several batches;
+    carrying each into the next batch must give the member frame of
+    the default batch size, byte for byte, and the last ego of each
+    task must be flushed."""
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    edges, inter, users = to_spark(spark, net)
+    want = _collected(member_features(spark, edges, inter, users), ["ego", "member"])
+    saved = spark.conf.get(key)
+    try:
+        spark.conf.set(key, 5)
+        got = _collected(member_features(spark, edges, inter, users), ["ego", "member"])
+    finally:
+        spark.conf.set(key, saved)
+    assert len(got) == 2 * net.n_edges
+    pd.testing.assert_frame_equal(got, want, check_exact=True)

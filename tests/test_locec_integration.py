@@ -2,7 +2,10 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core import edge_features as EF
+from repro.core import locec
 from repro.core.experiment import make_experiment, score_edge_predictions
 from repro.core.locec import run_locec
 from repro.socialnet.generator import INTERACTION_DIMS, MAJOR_TYPES, USER_FEATURES
@@ -31,6 +34,14 @@ def result_cnn(spark, ex):
 
 def test_all_edges_predicted(ex, result_xgb):
     assert result_xgb.edge_pred.count() == ex.net.n_edges
+
+
+def test_python_stages_run_one_task_per_core(spark, result_xgb):
+    """Phase I, Phase II inference and Phase III inference each run in
+    one task per core, whatever the shuffle-partition count (64 here)."""
+    P = spark.sparkContext.defaultParallelism
+    for df in (result_xgb.member_df, result_xgb.comm_results, result_xgb.edge_pred):
+        assert df.rdd.getNumPartitions() == P
 
 
 def test_predictions_are_major_types(result_xgb):
@@ -151,3 +162,42 @@ def test_triangle_free_network_predicts_every_edge_once(spark, variant):
     assert len(pred) == len(edges)
     assert not pred.duplicated(["src", "dst"]).any()
     assert set(zip(pred["src"], pred["dst"])) == set(zip(edges["src"], edges["dst"]))
+
+
+def _star_network_with_isolated_edge(spark):
+    """A 7-leaf star plus the isolated edge 30–31, whose endpoints are
+    each other's only friend; returns ``run_locec``'s inputs."""
+    edges = pd.DataFrame([(0, i) for i in range(1, 8)] + [(30, 31)], columns=["src", "dst"])
+    g = np.random.default_rng(0)
+    inter = edges.assign(**{c: g.integers(0, 6, len(edges)) for c in INTERACTION_DIMS})
+    users = pd.DataFrame({"user_id": np.unique(edges[["src", "dst"]])})
+    users = users.assign(**{c: g.random(len(users)) for c in USER_FEATURES})
+    train = edges.iloc[:6].assign(label=["colleague"] * 3 + ["family"] * 3)
+    return [spark.createDataFrame(f) for f in (edges, inter, users, train)]
+
+
+def test_lost_member_rows_raise(spark, monkeypatch):
+    """Phase I losing both member rows of an edge must raise, not
+    predict |E| - 1 edges: the Eq. 4 guard only sees edges with rows."""
+    member_features = locec.member_features
+
+    def lossy(*args):
+        return member_features(*args).where(
+            ~(F.col("ego").isin(30, 31) & F.col("member").isin(30, 31))
+        )
+
+    monkeypatch.setattr(locec, "member_features", lossy)
+    with pytest.raises(ValueError, match="14 member rows, expected 16"):
+        run_locec(spark, *_star_network_with_isolated_edge(spark),
+                  variant="xgb", gbdt_rounds=2, lr_epochs=10)
+
+
+def test_lost_edge_predictions_raise(spark, monkeypatch):
+    """Phase III inference losing an edge must raise."""
+    classify_edges = EF.classify_edges
+    monkeypatch.setattr(
+        EF, "classify_edges", lambda *args: classify_edges(*args).where(F.col("src") != 30)
+    )
+    with pytest.raises(ValueError, match="7 predicted edge rows, expected 8"):
+        run_locec(spark, *_star_network_with_isolated_edge(spark),
+                  variant="xgb", gbdt_rounds=2, lr_epochs=10)
