@@ -21,8 +21,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.ego import adjacency
-
 _PRIME = 2_147_483_647  # Mersenne prime for the affine hash family
 
 
@@ -39,10 +37,11 @@ def minhash_signatures(
     g = np.random.default_rng(seed)
     a = g.integers(1, _PRIME, n_hashes, dtype=np.int64)
     b = g.integers(0, _PRIME, n_hashes, dtype=np.int64)
+    e = edges.select(F.col("src").alias("node"), F.col("dst").alias("member"))
     member = F.col("member").cast("long")
     return (
-        adjacency(edges.select("src", "dst"))
-        .groupBy(F.col("ego").alias("node"))
+        e.unionByName(e.select(F.col("member").alias("node"), F.col("node").alias("member")))
+        .groupBy("node")
         .agg(*(F.min((F.lit(int(ai)) * member + F.lit(int(bi))) % _PRIME).alias(f"s_{i}")
                for i, (ai, bi) in enumerate(zip(a, b))))
         .toPandas()

@@ -2,22 +2,23 @@
 
 The paper's parallel unit is the ego network: "each node is parsed
 separately in a streaming scheme in all three phases" (Sec. V-D). We
-express that as one shuffle and one pandas pass per task: every ego's
-member rows (each member with its individual features) and ego-network
-edge rows (with their interaction counters) go, as one frame, to one of
-``P = defaultParallelism`` tasks by a hash of the ego, sorted by ego
-there. Each task streams its rows ego by ego and runs Girvan–Newman and
-the Eq. 1 / Eq. 3 feature computation on each ego network in turn,
-emitting one row per (ego, member), so every core runs one Python task.
-Each local community's member rows, from which Phase II builds each
-model's input, ride on the row of its first member, so
-:func:`community_frame` is a narrow projection of the member frame,
-with no second shuffle.
+build one record per node: its friends, its individual features, and
+the other end and interaction counters of each edge it is the ``src``
+of. Each record is copied to the ego network of every friend, and the
+copies go to one of ``P = defaultParallelism`` tasks by a hash of the
+ego, sorted by ego there. Each task streams its egos one by one: ego
+v's edges are its members' edges whose other end is also a member of
+v, and Girvan–Newman and the Eq. 1 / Eq. 3 feature computation run on
+each ego network in turn, emitting one row per (ego, member), so every
+core runs one Python task. Each local community's member rows, from
+which Phase II builds each model's input, ride on the row of its first
+member, so :func:`community_frame` is a narrow projection of the member
+frame, with no second shuffle.
 
 This replaces the GraphX/pregel sketch of the original system — GN is
 not a message-passing fixpoint, so the natural Spark formulation is
-partitioned per-ego local computation over the triangle-join output
-(see DESIGN.md, substitutions).
+partitioned per-ego local computation over per-node records (see
+DESIGN.md, substitutions).
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import features as FT
-from repro.core.ego import adjacency, ego_edges
 from repro.core.girvan_newman import girvan_newman
 from repro.socialnet.generator import INTERACTION_DIMS, USER_FEATURES
 
@@ -81,15 +81,72 @@ def _egos_udf(batches):
 
 def _run_egos(pdf: pd.DataFrame) -> pd.DataFrame:
     """:func:`_ego_udf` over every ego of ``pdf``, which holds each of
-    its egos' member and edge rows in full."""
+    its egos' member records in full, in ego order."""
+    eedges = ego_edge_rows(pdf)
+    edge_ego = eedges["ego"].to_numpy()
     out = []
-    for _, rows in pdf.groupby("ego", sort=False):
-        edge = rows["is_edge"].to_numpy()
-        out.append(_ego_udf(
-            rows.loc[~edge, ["ego", "member", *USER_FEATURES]],
-            rows.loc[edge, ["src", "dst", *INTERACTION_DIMS]],
-        ))
+    for ego, rows in pdf.groupby("ego", sort=False):
+        lo, hi = np.searchsorted(edge_ego, [ego, ego + 1])
+        out.append(_ego_udf(rows[["ego", "member", *USER_FEATURES]], eedges.iloc[lo:hi]))
     return pd.concat(out, ignore_index=True)
+
+
+def ego_edge_rows(pdf: pd.DataFrame) -> pd.DataFrame:
+    """(ego, src, dst, i_*): the edges of every ego network in ``pdf``.
+
+    ``pdf`` holds :func:`member_records` rows, all of each of its egos'
+    members. Member a of ego v contributes each edge (a, b) it is the
+    ``src`` of whose ``dst`` b is also a member of v, so each edge
+    among v's friends comes once, and edges at v itself never do.
+    Rows keep ``pdf``'s ego order.
+    """
+    n = pdf["dst"].map(len).to_numpy()
+    ego = np.repeat(pdf["ego"].to_numpy(), n)
+    dst = np.concatenate(pdf["dst"].to_numpy())
+    keep = pd.MultiIndex.from_arrays([ego, dst]).isin(
+        pd.MultiIndex.from_arrays([pdf["ego"], pdf["member"]])
+    )
+    return pd.DataFrame({
+        "ego": ego[keep],
+        "src": np.repeat(pdf["member"].to_numpy(), n)[keep],
+        "dst": dst[keep],
+        **{c: np.concatenate(pdf[c].to_numpy())[keep] for c in INTERACTION_DIMS},
+    })
+
+
+def member_records(
+    edges: DataFrame, interactions: DataFrame, users: DataFrame | None = None
+) -> DataFrame:
+    """(ego, member, f_*, dst, i_*): member's record in ego's network.
+
+    One record per node — its ``f_*`` (zeros without a ``users`` row),
+    and the ``dst`` and ``i_*`` counters of each edge it is the ``src``
+    of, as arrays in one order — copied to the ego network of each of
+    its friends. An edge without an ``interactions`` row has zero
+    counters.
+    """
+    if users is None:
+        users = edges.sparkSession.createDataFrame(
+            [], "user_id long, " + ", ".join(f"{c} double" for c in USER_FEATURES)
+        )
+    e = edges.select("src", "dst").join(interactions, ["src", "dst"], "left").na.fill(0)
+    rows = (
+        e.select(F.col("src").alias("node"), F.col("dst").alias("friend"),
+                 F.struct("dst", *INTERACTION_DIMS).alias("edge"))
+        .unionByName(edges.select(F.col("dst").alias("node"), F.col("src").alias("friend")),
+                     allowMissingColumns=True)
+        .unionByName(users.select(F.col("user_id").alias("node"), *USER_FEATURES),
+                     allowMissingColumns=True)
+    )
+    return rows.groupBy("node").agg(
+        F.collect_list("friend").alias("friends"),
+        # one struct per edge, so that dst and its counters stay aligned
+        F.collect_list("edge").alias("edges"),
+        *(F.coalesce(F.first(c, ignorenulls=True), F.lit(0.0)).alias(c) for c in USER_FEATURES),
+    ).select(
+        F.explode("friends").alias("ego"), F.col("node").alias("member"), *USER_FEATURES,
+        F.col("edges.dst").alias("dst"), *(F.col(f"edges.{c}").alias(c) for c in INTERACTION_DIMS),
+    )
 
 
 def member_features(
@@ -111,33 +168,10 @@ def member_features(
     ``users`` supplies the individual features ``f_*``; a member without
     a row there (every member, when ``users`` is None) gets zeros.
     """
-    members = adjacency(edges.select("src", "dst"))
-    if users is None:
-        members = members.select("*", *(F.lit(0.0).alias(c) for c in USER_FEATURES))
-    else:
-        members = members.join(
-            users.select(F.col("user_id").alias("member"), *USER_FEATURES),
-            on="member",
-            how="left",
-        ).na.fill({c: 0.0 for c in USER_FEATURES})
-    ee = ego_edges(edges).join(interactions, on=["src", "dst"], how="left").na.fill(
-        {c: 0 for c in INTERACTION_DIMS}
-    )
-    # one frame of both kinds of row; the other kind's columns hold
-    # zeros, not nulls, so that no id or counter arrives as a float
-    zero = F.lit(0)
-    rows = members.select(
-        "ego", F.lit(False).alias("is_edge"), "member",
-        zero.alias("src"), zero.alias("dst"), *USER_FEATURES,
-        *(zero.alias(c) for c in INTERACTION_DIMS),
-    ).unionByName(ee.select(
-        "ego", F.lit(True).alias("is_edge"), zero.alias("member"),
-        "src", "dst", *(F.lit(0.0).alias(c) for c in USER_FEATURES),
-        *INTERACTION_DIMS,
-    ))
     P = spark.sparkContext.defaultParallelism
     return (
-        rows.repartition(P, "ego")
+        member_records(edges, interactions, users)
+        .repartition(P, "ego")
         .sortWithinPartitions("ego")
         .mapInPandas(_egos_udf, schema=MEMBER_SCHEMA)
     )

@@ -164,3 +164,22 @@ def test_egos_straddling_arrow_batches(spark, net):
         spark.conf.set(key, saved)
     assert len(got) == 2 * net.n_edges
     pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_without_users_every_member_gets_zero_features(spark, net):
+    """``users=None`` gives the member frame of a users table whose f_*
+    are all 0.0, byte for byte."""
+    edges, inter, users = to_spark(spark, net)
+    zeros = users.select("user_id", *(F.lit(0.0).alias(c) for c in USER_FEATURES))
+    want = _collected(member_features(spark, edges, inter, zeros), ["ego", "member"])
+    got = _collected(member_features(spark, edges, inter), ["ego", "member"])
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_phase1_shuffles_four_times(spark, net):
+    """Phase I's plan has four Exchanges: the two sides of the
+    interactions join, the per-node aggregation and the repartition by
+    ego."""
+    edges, inter, users = to_spark(spark, net)
+    plan = member_features(spark, edges, inter, users)._jdf.queryExecution().executedPlan()
+    assert sum("Exchange" in line for line in plan.toString().splitlines()) <= 4
