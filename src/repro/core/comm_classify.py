@@ -13,13 +13,14 @@ its own input from them. This module then runs:
 2. :func:`train_community_model` — driver-side training of CommCNN or
    the GBDT on the labeled communities (the paper trains its model
    beforehand on the survey set, then broadcasts it to 100 servers).
-3. :func:`classify_communities` — distributed inference. Every model,
+3. :func:`classify_communities` — distributed inference, ego by ego on
+   Phase I's partitions: every member row leaves with its community's
+   class probabilities and Phase III embedding ``r^C`` (softmax vector
+   for CommCNN, leaf values for GBDT — paper Sec. IV-C). Every model,
    Phase III's LR included, ships one way, through one executor-
    inference helper: its ``get_params`` arrays are broadcast and
-   rebuilt on each executor with ``from_params``. Emits class
-   probabilities and the Phase III embedding ``r^C`` (softmax vector
-   for CommCNN, leaf values for GBDT — paper Sec. IV-C). The fitted
-   model alone fixes its input and embedding; only training takes the
+   rebuilt on each executor with ``from_params``. The fitted model
+   alone fixes its input and embedding; only training takes the
    variant.
 """
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import features as FT
-from repro.core.communities import community_frame
+from repro.core.communities import by_ego, community_frame
 from repro.ml.cnn import CNNConfig, CommCNN
 from repro.ml.gbdt import GBDT
 from repro.socialnet.generator import LABEL_TO_IDX, MAJOR_TYPES
@@ -38,8 +39,8 @@ from repro.socialnet.generator import LABEL_TO_IDX, MAJOR_TYPES
 IDX_TO_LABEL = {i: t for t, i in LABEL_TO_IDX.items()}
 
 PROB_COLS = [f"p_{t}" for t in MAJOR_TYPES]
-RESULT_SCHEMA = (
-    "ego long, comm_id int, "
+MEMBER_RESULT_SCHEMA = (
+    "ego long, member long, tightness double, "
     + ", ".join(f"{c} double" for c in PROB_COLS)
     + ", emb array<double>"
 )
@@ -149,26 +150,39 @@ def predict_communities(model, pdf: pd.DataFrame) -> pd.DataFrame:
     return out
 
 
+def predict_members(model, pdf: pd.DataFrame) -> pd.DataFrame:
+    """(ego, member, tightness, p_*, emb) for every member row of ``pdf``,
+    which holds each of its egos in full: each community is predicted
+    once, from its first member's ``rows``."""
+    comms = predict_communities(model, pdf[pdf["rows"].notna()])
+    # an exact lookup: a member whose community has no row raises KeyError
+    at = comms.set_index(["ego", "comm_id"]).loc[
+        pd.MultiIndex.from_arrays([pdf["ego"], pdf["comm_id"]])
+    ]
+    return pdf[["ego", "member", "tightness"]].assign(**{c: at[c].to_numpy() for c in at})
+
+
 def _infer_on_executors(
-    spark: SparkSession, frame: DataFrame, model, predict, schema: str
+    spark: SparkSession, frame: DataFrame, model, task, schema: str
 ) -> DataFrame:
-    """``predict(model, batch)`` over every non-empty batch of ``frame``,
-    in at most one task per core: ``model``'s ``get_params`` arrays are
-    broadcast and rebuilt once per task with ``from_params``."""
+    """``task(model, batches)`` over each task's Arrow batches of
+    ``frame``, in at most one task per core: ``model``'s ``get_params``
+    arrays are broadcast and rebuilt once per task with ``from_params``."""
     cls = type(model)
     sc = spark.sparkContext
     bc = sc.broadcast(model.get_params())
 
     def infer(batches):
-        mdl = cls.from_params(bc.value)
-        for pdf in batches:
-            if len(pdf):
-                yield predict(mdl, pdf)
+        return task(cls.from_params(bc.value), batches)
 
     return frame.coalesce(sc.defaultParallelism).mapInPandas(infer, schema=schema)
 
 
-def classify_communities(spark: SparkSession, matrices: DataFrame, model) -> DataFrame:
-    """Distributed Phase II inference: :func:`predict_communities` over
-    the community frame ``matrices`` (ego, comm_id, rows, ...)."""
-    return _infer_on_executors(spark, matrices, model, predict_communities, RESULT_SCHEMA)
+def classify_communities(spark: SparkSession, member_df: DataFrame, model) -> DataFrame:
+    """Distributed Phase II inference over Phase I's own partitions:
+    :func:`predict_members` ego by ego over ``member_df``, one row per
+    (ego, member) carrying its community's ``p_*`` and ``emb``."""
+    def task(mdl, batches):
+        return by_ego(batches, lambda pdf: predict_members(mdl, pdf))
+
+    return _infer_on_executors(spark, member_df, model, task, MEMBER_RESULT_SCHEMA)

@@ -12,8 +12,8 @@ v, and Girvan–Newman and the Eq. 1 / Eq. 3 feature computation run on
 each ego network in turn, emitting one row per (ego, member), so every
 core runs one Python task. Each local community's member rows, from
 which Phase II builds each model's input, ride on the row of its first
-member, so :func:`community_frame` is a narrow projection of the member
-frame, with no second shuffle.
+member, so :func:`community_frame` is a narrow projection, and Phase II
+inference walks the same partitions ego by ego through :func:`by_ego`.
 
 This replaces the GraphX/pregel sketch of the original system — GN is
 not a message-passing fixpoint, so the natural Spark formulation is
@@ -59,12 +59,11 @@ def _ego_udf(members: pd.DataFrame, eedges: pd.DataFrame) -> pd.DataFrame:
     return feats
 
 
-def _egos_udf(batches):
-    """Runs inside an executor over one partition's rows, sorted by ego:
-    :func:`_ego_udf` on each ego network in turn, at most one output
-    frame per input batch. An ego whose rows straddle a batch boundary is carried
-    into the next batch, and the last ego is flushed at the end, so
-    memory holds one batch plus one ego."""
+def by_ego(batches, fn):
+    """``fn`` on whole egos, at most once per Arrow batch of one task,
+    whose rows must be sorted by ego. An ego whose rows straddle a batch
+    boundary is carried into the next batch, and the last ego is flushed
+    at the end, so memory holds one batch plus one ego."""
     carry = None
     for pdf in batches:
         if carry is not None:
@@ -73,10 +72,10 @@ def _egos_udf(batches):
         # the first row of the batch's last ego, which may go on in the next
         last = int(np.searchsorted(ego, ego[-1]))
         if last:
-            yield _run_egos(pdf.iloc[:last])
+            yield fn(pdf.iloc[:last])
         carry = pdf.iloc[last:]
     if carry is not None:
-        yield _run_egos(carry)
+        yield fn(carry)
 
 
 def _run_egos(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -173,7 +172,7 @@ def member_features(
         member_records(edges, interactions, users)
         .repartition(P, "ego")
         .sortWithinPartitions("ego")
-        .mapInPandas(_egos_udf, schema=MEMBER_SCHEMA)
+        .mapInPandas(lambda batches: by_ego(batches, _run_egos), schema=MEMBER_SCHEMA)
     )
 
 

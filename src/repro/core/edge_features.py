@@ -6,11 +6,12 @@ edge feature vector is
 
     f_<u,v> = [tightness(u, C_u), tightness(v, C_v), r^{C_u}, r^{C_v}]
 
-assembled here from the edge's two member rows (u in v's ego network
-and v in u's) in one aggregation, then classified by a multinomial
-logistic regression trained on the labeled edges: a driver-side fit,
-and distributed inference of :func:`predict_edges` through Phase II's
-one executor-inference helper (broadcast ``get_params`` arrays).
+assembled here from the edge's two Phase II member rows (u in v's ego
+network and v in u's, each with its community's r^C) in one
+aggregation, then classified by a multinomial logistic regression
+trained on the labeled edges: a driver-side fit, and distributed
+inference of :func:`predict_edges` through Phase II's one executor-
+inference helper (broadcast ``get_params`` arrays).
 
 The divide–aggregate–combine guarantee holds by construction: every
 edge endpoint is a member of the other endpoint's ego network, so every
@@ -35,21 +36,18 @@ EDGE_PRED_SCHEMA = (
 )
 
 
-def edge_features(member_df: DataFrame, comm_results: DataFrame) -> DataFrame:
+def edge_features(member_results: DataFrame) -> DataFrame:
     """Eq. 4 features for every edge (src, dst), src < dst.
 
-    Each member row (ego, member) is one side of the edge between them:
-    one join attaches its community's ``emb``, and one aggregation pairs
-    the two rows of each edge. Side u is the row with ego = dst
-    (tightness(u, C_u), r^{C_u}); side v the row with ego = src.
-    ``features`` raises when an edge has other than two member rows,
-    so a missing side is never paired with itself.
+    Each Phase II member row (ego, member, tightness, emb) is one side
+    of the edge between them: one aggregation pairs the two rows of
+    each edge. Side u is the row with ego = dst (tightness(u, C_u),
+    r^{C_u}); side v the row with ego = src. ``features`` raises when
+    an edge has other than two member rows, so a missing side is never
+    paired with itself.
     """
-    rows = member_df.select("ego", "member", "comm_id", "tightness").join(
-        comm_results.select("ego", "comm_id", "emb"), on=["ego", "comm_id"]
-    )
     side = F.struct("tightness", "emb")
-    pairs = rows.groupBy(
+    pairs = member_results.groupBy(
         F.least("ego", "member").alias("src"),
         F.greatest("ego", "member").alias("dst"),
     ).agg(
@@ -105,4 +103,7 @@ def classify_edges(
 ) -> DataFrame:
     """Distributed Phase III inference: :func:`predict_edges` over every
     edge of ``feats``."""
-    return _infer_on_executors(spark, feats, model, predict_edges, EDGE_PRED_SCHEMA)
+    def task(mdl, batches):
+        return (predict_edges(mdl, pdf) for pdf in batches if len(pdf))
+
+    return _infer_on_executors(spark, feats, model, task, EDGE_PRED_SCHEMA)

@@ -5,9 +5,10 @@
 - Phase I  (*division*):    ego networks + Girvan–Newman communities,
   with every community's Eq. 1/3 member rows built in the same pass,
 - Phase II (*aggregation*): community labels + CommCNN/GBDT, trained
-  on the one labeled-community collect Table V also uses,
-- Phase III (*combination*): Eq. 4 edge features, paired from Phase I's
-  member rows and Phase II's results, + logistic regression,
+  on the one labeled-community collect Table V also uses and run ego by
+  ego on Phase I's partitions, each member row with its community's r^C,
+- Phase III (*combination*): Eq. 4 edge features, paired from those
+  member rows in one aggregation, + logistic regression,
 
 forcing materialization at each phase boundary so the wall-clock split
 reported for Table VI attributes time to the right phase, the same way
@@ -22,20 +23,21 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import comm_classify as CC
 from repro.core import edge_features as EF
-from repro.core.communities import community_frame, member_features
+from repro.core.communities import member_features
 
 
 @dataclass
 class LocecResult:
     """Artifacts of one end-to-end run (Spark frames + models).
 
-    ``member_df``, ``comm_results`` and ``edge_pred`` stay cached until
-    :meth:`unpersist`; meanwhile a run on the same inputs reads Phase I
-    from the cache.
+    ``member_df`` (Phase I), ``member_results`` (Phase II: each member
+    row with its community's ``p_*`` and ``emb``) and ``edge_pred``
+    stay cached until :meth:`unpersist`; meanwhile a run on the same
+    inputs reads Phase I from the cache.
     """
 
     member_df: DataFrame
-    comm_results: DataFrame
+    member_results: DataFrame
     edge_pred: DataFrame
     comm_model: object
     edge_model: object
@@ -104,10 +106,8 @@ def run_locec(
     )
     train_time = time.perf_counter() - t_train0
 
-    comm_results = CC.classify_communities(
-        spark, community_frame(member_df), comm_model
-    ).cache()
-    comm_results.count()
+    member_results = CC.classify_communities(spark, member_df, comm_model).cache()
+    member_results.count()
     # model training is reported separately (paper Table VI "Training")
     timings["phase2"] = time.perf_counter() - t0 - train_time
 
@@ -115,7 +115,7 @@ def run_locec(
     t0 = time.perf_counter()
     # counting the cached frame computes every edge's features, so an
     # edge without both member rows raises here
-    feats = EF.edge_features(member_df, comm_results).cache()
+    feats = EF.edge_features(member_results).cache()
     feats.count()
 
     t_train0 = time.perf_counter()
@@ -127,13 +127,13 @@ def run_locec(
     edge_pred = EF.classify_edges(spark, feats, edge_model).cache()
     n_pred = edge_pred.count()
     feats.unpersist()
-    _check_rows("predicted edge", n_pred, n_edges, member_df, comm_results, edge_pred)
+    _check_rows("predicted edge", n_pred, n_edges, member_df, member_results, edge_pred)
     timings["phase3"] = time.perf_counter() - t0 - lr_train
     timings["total"] = timings["phase1"] + timings["phase2"] + timings["phase3"]
 
     return LocecResult(
         member_df=member_df,
-        comm_results=comm_results,
+        member_results=member_results,
         edge_pred=edge_pred,
         comm_model=comm_model,
         edge_model=edge_model,

@@ -1,5 +1,5 @@
 """Tests for Phase II: community matrices, labels, train + distributed
-inference."""
+inference over the member rows."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -83,26 +83,44 @@ def test_community_labels_majority(spark, setup):
 
 @pytest.mark.parametrize("variant", ["xgb", "cnn"])
 def test_train_and_distributed_inference_agree(spark, setup, variant):
-    """mapInPandas inference with broadcast weights must equal a
-    driver-side predict."""
+    """The ego-by-ego mapInPandas pass with broadcast weights must give
+    every member row what a driver-side predict of its community gives."""
     net, member_df, labeled, matrices = setup
     model = CC.train_community_model(
         labeled, variant=variant, k=10, seed=0, cnn_epochs=3, gbdt_rounds=5
     )
     dist = (
-        CC.classify_communities(spark, matrices, model)
+        CC.classify_communities(spark, member_df, model)
         .toPandas()
-        .sort_values(["ego", "comm_id"])
-        .reset_index(drop=True)
+        .sort_values(["ego", "member"], ignore_index=True)
     )
-    local_in = matrices.toPandas().sort_values(["ego", "comm_id"]).reset_index(drop=True)
-    local = CC.predict_communities(model, local_in)
+    local = (
+        member_df.select("ego", "member", "comm_id", "tightness").toPandas()
+        .merge(CC.predict_communities(model, matrices.toPandas()), on=["ego", "comm_id"])
+        .sort_values(["ego", "member"], ignore_index=True)
+    )
+    assert len(dist) == 2 * net.n_edges
+    cols = ["ego", "member", "tightness"]
+    pd.testing.assert_frame_equal(dist[cols], local[cols], check_exact=True)
     assert np.allclose(
         dist[CC.PROB_COLS].to_numpy(), local[CC.PROB_COLS].to_numpy(), atol=1e-9
     )
     # embeddings agree too (r^C used by Phase III)
     for a, b in zip(dist["emb"], local["emb"]):
         assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-9)
+
+
+def test_member_without_its_community_row_raises(setup):
+    """A member whose community has no ``rows`` row in its batch must
+    raise, not be handed another community's results."""
+    net, member_df, labeled, matrices = setup
+    model = CC.train_community_model(labeled, variant="xgb", k=10, gbdt_rounds=2)
+    pdf = member_df.where("comm_size > 1").toPandas()
+    ego, comm_id = pdf.loc[pdf["rows"].notna(), ["ego", "comm_id"]].iloc[0]
+    CC.predict_members(model, pdf)
+    lost = (pdf["ego"] == ego) & (pdf["comm_id"] == comm_id) & pdf["rows"].notna()
+    with pytest.raises(KeyError):
+        CC.predict_members(model, pdf[~lost])
 
 
 @pytest.mark.parametrize("variant", ["xgb", "cnn"])
@@ -123,7 +141,7 @@ def test_training_ignores_row_order(spark, setup, variant):
 def test_probs_are_distributions(spark, setup):
     net, member_df, labeled, matrices = setup
     model = CC.train_community_model(labeled, variant="xgb", k=10, gbdt_rounds=5)
-    out = CC.classify_communities(spark, matrices, model).toPandas()
+    out = CC.classify_communities(spark, member_df, model).toPandas()
     s = out[CC.PROB_COLS].sum(axis=1)
     assert np.allclose(s, 1.0, atol=1e-6)
 

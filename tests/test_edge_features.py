@@ -12,7 +12,9 @@ from repro.socialnet.generator import MAJOR_TYPES, NetConfig, generate, to_spark
 
 
 @pytest.fixture(scope="module")
-def setup(spark):
+def phase2(spark):
+    """The cached member frame, its labelled communities, an xgb model
+    and the cached Phase II member frame it gives."""
     net = generate(NetConfig(n_nodes=220, seed=31))
     edges, inter, users = to_spark(spark, net)
     member_df = member_features(spark, edges, inter, users).cache()
@@ -20,9 +22,18 @@ def setup(spark):
         member_df, spark.createDataFrame(net.edges[net.edges["label"].isin(MAJOR_TYPES)])
     )
     model = CC.train_community_model(labeled, variant="xgb", k=10, gbdt_rounds=5)
-    comm_res = CC.classify_communities(spark, community_frame(member_df), model).cache()
-    feats = EF.edge_features(member_df, comm_res).cache()
+    member_res = CC.classify_communities(spark, member_df, model).cache()
+    return net, edges, member_df, labeled, model, member_res
+
+
+@pytest.fixture(scope="module")
+def setup(phase2):
+    """Eq. 4 features from the Phase II member frame, and the oracle's
+    per-community results: a driver-side predict of every community."""
+    net, edges, member_df, labeled, model, member_res = phase2
+    feats = EF.edge_features(member_res).cache()
     feats.count()
+    comm_res = CC.predict_communities(model, community_frame(member_df).toPandas())
     return net, edges, member_df, comm_res, feats
 
 
@@ -31,9 +42,22 @@ def _member_results(member_df, comm_res) -> pd.DataFrame:
     community in that ego network, joined in pandas."""
     return (
         member_df.select("ego", "member", "comm_id", "tightness").toPandas()
-        .merge(comm_res.select("ego", "comm_id", "emb").toPandas(),
-               on=["ego", "comm_id"])
+        .merge(comm_res[["ego", "comm_id", "emb"]], on=["ego", "comm_id"])
         .set_index(["ego", "member"])
+    )
+
+
+def _exchanges_above_cache(plan) -> int:
+    """Exchanges in a physical plan, leaving out those inside the plans
+    of the cached frames it reads."""
+    name = plan.nodeName()
+    if name == "InMemoryTableScan":
+        return 0
+    if name == "AdaptiveSparkPlan":
+        return _exchanges_above_cache(plan.executedPlan())
+    kids = plan.children()
+    return (name == "Exchange") + sum(
+        _exchanges_above_cache(kids.apply(i)) for i in range(kids.size())
     )
 
 
@@ -81,18 +105,63 @@ def test_features_match_two_join_oracle(setup):
         assert list(f) == want, (src, dst)
 
 
-def test_missing_member_row_fails_naming_the_edge(setup):
+def test_missing_member_row_fails_naming_the_edge(phase2):
     """An edge with one member row must raise, not be paired with itself."""
-    net, edges, member_df, comm_res, feats = setup
+    net, edges, member_df, labeled, model, member_res = phase2
     src, dst = (int(x) for x in net.edges[["src", "dst"]].iloc[0])
-    dropped = member_df.filter(~((F.col("ego") == dst) & (F.col("member") == src)))
-    broken = EF.edge_features(dropped, comm_res).cache()
+    dropped = member_res.filter(~((F.col("ego") == dst) & (F.col("member") == src)))
+    broken = EF.edge_features(dropped).cache()
     try:
         msg = rf"edge \({src}, {dst}\) has 1 member rows, not 2"
         with pytest.raises(SparkRuntimeException, match=msg):
             broken.count()
     finally:
         broken.unpersist()
+
+
+def test_phase3_shuffles_once(spark, phase2):
+    """Eq. 4 reads the cached Phase II member frame through one Exchange,
+    its aggregation's: no join on (ego, comm_id) is left."""
+    net, edges, member_df, labeled, model, _ = phase2
+    # a frame of its own: Eq. 4 over the fixture's would read ``setup``'s cache
+    member_res = CC.classify_communities(spark, member_df, model).cache()
+    try:
+        plan = EF.edge_features(member_res)._jdf.queryExecution().executedPlan()
+        assert _exchanges_above_cache(plan) == 1
+    finally:
+        member_res.unpersist()
+
+
+@pytest.mark.parametrize("variant", ["xgb", "cnn"])
+def test_phase2_egos_straddling_arrow_batches(spark, phase2, variant):
+    """With 5-row Arrow batches the Phase II pass carries most egos
+    across batches; the Eq. 4 features must equal those of the default
+    batch size, exactly for GBDT and within 1e-12 for CommCNN, whose
+    BLAS sums may round differently with the batch's shape."""
+    net, edges, member_df, labeled, *_ = phase2
+    model = CC.train_community_model(
+        labeled, variant=variant, k=10, cnn_epochs=2, gbdt_rounds=5
+    )
+
+    def features():
+        return (
+            EF.edge_features(CC.classify_communities(spark, member_df, model))
+            .toPandas()
+            .sort_values(["src", "dst"], ignore_index=True)
+        )
+
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    want = features()
+    saved = spark.conf.get(key)
+    try:
+        spark.conf.set(key, 5)
+        got = features()
+    finally:
+        spark.conf.set(key, saved)
+    assert len(got) == net.n_edges
+    pd.testing.assert_frame_equal(got[["src", "dst"]], want[["src", "dst"]])
+    diff = np.abs(np.stack(got["features"]) - np.stack(want["features"])).max()
+    assert diff == 0.0 if variant == "xgb" else diff <= 1e-12
 
 
 def test_train_edge_model_and_classify(spark, setup):

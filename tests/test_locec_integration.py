@@ -40,7 +40,7 @@ def test_python_stages_run_one_task_per_core(spark, result_xgb):
     """Phase I, Phase II inference and Phase III inference each run in
     one task per core, whatever the shuffle-partition count (64 here)."""
     P = spark.sparkContext.defaultParallelism
-    for df in (result_xgb.member_df, result_xgb.comm_results, result_xgb.edge_pred):
+    for df in (result_xgb.member_df, result_xgb.member_results, result_xgb.edge_pred):
         assert df.rdd.getNumPartitions() == P
 
 
@@ -77,8 +77,8 @@ def test_variants_share_phase1(result_xgb, result_cnn):
 
 def test_embedding_kinds_differ(result_xgb, result_cnn):
     """r^C is leaf values for XGB (high-dim) vs softmax (|L|) for CNN."""
-    xgb_emb = len(result_xgb.comm_results.first().emb)
-    cnn_emb = len(result_cnn.comm_results.first().emb)
+    xgb_emb = len(result_xgb.member_results.first().emb)
+    cnn_emb = len(result_cnn.member_results.first().emb)
     assert cnn_emb == len(MAJOR_TYPES)
     assert xgb_emb > cnn_emb
 
@@ -109,12 +109,13 @@ def test_result_frames_hold_every_cached_frame(spark):
 
 @pytest.mark.parametrize("variant", ["xgb", "cnn"])
 def test_edge_predictions_independent_of_shuffle_partitions(spark, variant):
-    """Edge predictions must not change with the number of shuffle
-    partitions (AQE coalescing off, so the count is really used)."""
+    """Edge predictions, and the Phase II member rows they come from,
+    must not change with the number of shuffle partitions (AQE
+    coalescing off, so the count is really used)."""
     ex = make_experiment(spark, n_nodes=150, seed=11)
     keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
     saved = {c: spark.conf.get(c) for c in keys}
-    preds = []
+    runs = []
     try:
         spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
         for n in (1, 7, 64):
@@ -123,21 +124,27 @@ def test_edge_predictions_independent_of_shuffle_partitions(spark, variant):
                 spark, ex.edges, ex.interactions, ex.users, ex.train_df(spark),
                 variant=variant, gbdt_rounds=3, cnn_epochs=2, lr_epochs=20,
             )
-            preds.append(
-                res.edge_pred.toPandas().sort_values(["src", "dst"], ignore_index=True)
-            )
+            runs.append((
+                res.edge_pred.toPandas().sort_values(["src", "dst"], ignore_index=True),
+                res.member_results.toPandas().sort_values(["ego", "member"], ignore_index=True),
+            ))
             # the next run has the same plans and would read these caches
             res.unpersist()
     finally:
         for c, v in saved.items():
             spark.conf.set(c, v)
     prob_cols = [f"p_{t}" for t in MAJOR_TYPES]
-    first, *rest = preds
-    for other in rest:
+    (first, first_members), *rest = runs
+    for other, members in rest:
         pd.testing.assert_frame_equal(
             first[["src", "dst", "pred"]], other[["src", "dst", "pred"]]
         )
         assert np.abs(first[prob_cols].to_numpy() - other[prob_cols].to_numpy()).max() <= 1e-12
+        cols = ["ego", "member", "tightness"]
+        pd.testing.assert_frame_equal(first_members[cols], members[cols], check_exact=True)
+        assert np.abs(
+            first_members[prob_cols].to_numpy() - members[prob_cols].to_numpy()
+        ).max() <= 1e-12
 
 
 @pytest.mark.parametrize("variant", ["xgb", "cnn"])
