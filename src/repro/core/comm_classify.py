@@ -166,8 +166,9 @@ def _infer_on_executors(
     spark: SparkSession, frame: DataFrame, model, task, schema: str
 ) -> DataFrame:
     """``task(model, batches)`` over each task's Arrow batches of
-    ``frame``, in at most one task per core: ``model``'s ``get_params``
-    arrays are broadcast and rebuilt once per task with ``from_params``."""
+    ``frame``, in at most one task per core, a pass named after ``task``
+    in query plans: ``model``'s ``get_params`` arrays are broadcast and
+    rebuilt once per task with ``from_params``."""
     cls = type(model)
     sc = spark.sparkContext
     bc = sc.broadcast(model.get_params())
@@ -175,6 +176,7 @@ def _infer_on_executors(
     def infer(batches):
         return task(cls.from_params(bc.value), batches)
 
+    infer.__name__ = task.__name__
     return frame.coalesce(sc.defaultParallelism).mapInPandas(infer, schema=schema)
 
 
@@ -182,7 +184,9 @@ def classify_communities(spark: SparkSession, member_df: DataFrame, model) -> Da
     """Distributed Phase II inference over Phase I's own partitions:
     :func:`predict_members` ego by ego over ``member_df``, one row per
     (ego, member) carrying its community's ``p_*`` and ``emb``."""
-    def task(mdl, batches):
-        return by_ego(batches, lambda pdf: predict_members(mdl, pdf))
+    return _infer_on_executors(spark, member_df, model, _phase2_members, MEMBER_RESULT_SCHEMA)
 
-    return _infer_on_executors(spark, member_df, model, task, MEMBER_RESULT_SCHEMA)
+
+def _phase2_members(model, batches):
+    """Phase II's per-task pass: :func:`predict_members` ego by ego."""
+    return by_ego(batches, lambda pdf: predict_members(model, pdf))

@@ -6,11 +6,12 @@ build one record per node: its friends, its individual features, and
 the other end and interaction counters of each edge it is the ``src``
 of. Each record is copied to the ego network of every friend, and the
 copies go to one of ``P = defaultParallelism`` tasks by a hash of the
-ego, sorted by ego there. Each task streams its egos one by one: ego
-v's edges are its members' edges whose other end is also a member of
-v, and Girvan–Newman and the Eq. 1 / Eq. 3 feature computation run on
-each ego network in turn, emitting one row per (ego, member), so every
-core runs one Python task. Each local community's member rows, from
+ego, sorted by ego there, so every core runs one Python task. Each
+task streams its Arrow batches, each cut to whole egos: ego v's edges
+are its members' edges whose other end is also a member of v.
+Girvan–Newman runs on each ego network in turn, the only per-ego call;
+the edges, the Eq. 1 / Eq. 3 features and one output frame are built
+once per batch, one row per (ego, member). Each local community's member rows, from
 which Phase II builds each model's input, ride on the row of its first
 member, so :func:`community_frame` is a narrow projection, and Phase II
 inference walks the same partitions ego by ego through :func:`by_ego`.
@@ -31,7 +32,7 @@ from repro.core import features as FT
 from repro.core.girvan_newman import girvan_newman
 from repro.socialnet.generator import INTERACTION_DIMS, USER_FEATURES
 
-#: Output schema of the per-ego UDF (one row per ego-network member).
+#: Phase I's output schema (one row per ego-network member).
 MEMBER_SCHEMA = (
     "ego long, member long, comm_id int, comm_size int, tightness double, "
     + ", ".join(f"{c} double" for c in FT.X_COLS)
@@ -39,33 +40,16 @@ MEMBER_SCHEMA = (
 )
 
 
-def _ego_udf(members: pd.DataFrame, eedges: pd.DataFrame) -> pd.DataFrame:
-    """Runs inside an executor for ONE ego network."""
-    # in member order, so that each community's rows (and the last bits of
-    # sums over them) do not depend on the order Spark delivers members in
-    members = members.sort_values("member", ignore_index=True)
-    nodes = members["member"].tolist()
-    pairs = list(zip(eedges["src"].tolist(), eedges["dst"].tolist()))
-    comm_of = girvan_newman(nodes, pairs)
-    feats = FT.community_member_features(nodes, comm_of, eedges)
-    feats.insert(0, "ego", int(members["ego"].iloc[0]))
-
-    vals = pd.concat([feats, members[USER_FEATURES]], axis=1)[FT.ROW_COLS].to_numpy(float)
-    rows = [None] * len(feats)
-    # each community's rows ride on its first member
-    for idx in feats.groupby("comm_id").indices.values():
-        rows[idx[0]] = vals[idx].ravel().tolist()
-    feats["rows"] = rows
-    return feats
-
-
 def by_ego(batches, fn):
     """``fn`` on whole egos, at most once per Arrow batch of one task,
     whose rows must be sorted by ego. An ego whose rows straddle a batch
     boundary is carried into the next batch, and the last ego is flushed
-    at the end, so memory holds one batch plus one ego."""
+    at the end, so memory holds one batch plus one ego. Empty batches
+    are skipped."""
     carry = None
     for pdf in batches:
+        if pdf.empty:
+            continue
         if carry is not None:
             pdf = pd.concat([carry, pdf], ignore_index=True)
         ego = pdf["ego"].to_numpy()
@@ -79,15 +63,65 @@ def by_ego(batches, fn):
 
 
 def _run_egos(pdf: pd.DataFrame) -> pd.DataFrame:
-    """:func:`_ego_udf` over every ego of ``pdf``, which holds each of
-    its egos' member records in full, in ego order."""
+    """GN and Eq. 1/3 on every ego network of ``pdf``, which holds
+    :func:`member_records` rows, all of each of its egos' members, in
+    ego order. Returns one :data:`MEMBER_SCHEMA` row per (ego, member),
+    in (ego, member) order.
+
+    Girvan–Newman runs ego by ego; everything else runs once over the
+    batch: Eq. 1/3 on communities numbered across all its egos, and each
+    community's member rows, in member order (so that they, and the
+    last bits of sums over them, do not depend on the order Spark
+    delivers members in), put on the row of its first member.
+    """
+    pdf = pdf.sort_values(["ego", "member"], kind="stable", ignore_index=True)
+    ego, member = pdf["ego"].to_numpy(), pdf["member"].to_numpy()
     eedges = ego_edge_rows(pdf)
     edge_ego = eedges["ego"].to_numpy()
-    out = []
-    for ego, rows in pdf.groupby("ego", sort=False):
-        lo, hi = np.searchsorted(edge_ego, [ego, ego + 1])
-        out.append(_ego_udf(rows[["ego", "member", *USER_FEATURES]], eedges.iloc[lo:hi]))
-    return pd.concat(out, ignore_index=True)
+
+    # each edge's two endpoints as row indices, by their (ego, member) key
+    egos, start = np.unique(ego, return_index=True)
+    nodes = np.unique(member)
+
+    def key(e, m):
+        return np.searchsorted(egos, e) * len(nodes) + np.searchsorted(nodes, m)
+
+    ends = np.searchsorted(key(ego, member), key(
+        np.tile(edge_ego, 2), np.concatenate([eedges["src"], eedges["dst"]])
+    ))
+    src, dst = ends[: len(eedges)], ends[len(eedges):]
+
+    # GN per ego, on its members' row indices, which keep member order
+    bounds = np.append(start, len(pdf))
+    edge_bounds = np.append(np.searchsorted(edge_ego, egos), len(edge_ego))
+    comm_id = np.empty(len(pdf), dtype=np.int64)
+    n_comms = np.empty(len(egos), dtype=np.int64)
+    for g in range(len(egos)):
+        lo, hi = bounds[g], bounds[g + 1]
+        e = slice(edge_bounds[g], edge_bounds[g + 1])
+        pairs = zip((src[e] - lo).tolist(), (dst[e] - lo).tolist())
+        comm_of = girvan_newman(range(hi - lo), list(pairs))
+        comm_id[lo:hi] = [comm_of[i] for i in range(hi - lo)]
+        n_comms[g] = comm_id[lo:hi].max() + 1
+    # communities numbered across the batch
+    comm = comm_id + np.repeat(np.cumsum(n_comms) - n_comms, np.diff(bounds))
+
+    size, tight, x = FT.eq1_eq3(comm, src, dst, eedges[INTERACTION_DIMS].to_numpy(dtype=float))
+
+    vals = np.column_stack([tight, x, pdf[USER_FEATURES].to_numpy(dtype=float)])
+    order = np.argsort(comm, kind="stable")
+    rows = [None] * len(pdf)
+    for idx in np.split(order, np.cumsum(np.bincount(comm))[:-1]):
+        rows[idx[0]] = vals[idx].ravel().tolist()
+    return pd.DataFrame({
+        "ego": ego, "member": member, "comm_id": comm_id, "comm_size": size, "tightness": tight,
+        **dict(zip(FT.X_COLS, x.T)), "rows": rows,
+    })
+
+
+def _phase1_egos(batches):
+    """Phase I's per-task pass: :func:`_run_egos` over each task's egos."""
+    return by_ego(batches, _run_egos)
 
 
 def ego_edge_rows(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -172,7 +206,7 @@ def member_features(
         member_records(edges, interactions, users)
         .repartition(P, "ego")
         .sortWithinPartitions("ego")
-        .mapInPandas(lambda batches: by_ego(batches, _run_egos), schema=MEMBER_SCHEMA)
+        .mapInPandas(_phase1_egos, schema=MEMBER_SCHEMA)
     )
 
 

@@ -103,7 +103,9 @@ def classify_edges(
 ) -> DataFrame:
     """Distributed Phase III inference: :func:`predict_edges` over every
     edge of ``feats``."""
-    def task(mdl, batches):
-        return (predict_edges(mdl, pdf) for pdf in batches if len(pdf))
+    return _infer_on_executors(spark, feats, model, _phase3_edges, EDGE_PRED_SCHEMA)
 
-    return _infer_on_executors(spark, feats, model, task, EDGE_PRED_SCHEMA)
+
+def _phase3_edges(model: LogisticRegression, batches):
+    """Phase III's per-task pass: :func:`predict_edges` per Arrow batch."""
+    return (predict_edges(model, pdf) for pdf in batches)

@@ -1,8 +1,10 @@
 """Phase II feature computation: Eq. 1 (interact), Eq. 3 (tightness),
 and each model's input from one community's member rows.
 
-Pure pandas/numpy functions. Phase I's per-ego UDF (``repro.core.communities``)
-calls :func:`community_member_features` on ONE ego network; Phase II
+Pure pandas/numpy functions. Phase I (``repro.core.communities``) calls
+:func:`eq1_eq3` once per Arrow batch, on every ego network of the batch;
+:func:`community_member_features` is the same computation on ONE ego
+network, for tests and driver-side replays. Phase II
 (``repro.core.comm_classify``) calls :func:`top_k_matrix` (Algorithm 1) or
 :func:`mean_std` on ONE community's rows; tests call them directly on small
 hand-built networks.
@@ -43,34 +45,57 @@ def community_member_features(
     counters for edges *among the friends* (the ego's own incident
     edges are excluded, per Phase I).
 
-    Returns one row per member: comm_id, comm_size, tightness, x_*.
+    Returns one row per member: comm_id, comm_size, tightness, x_*:
+    :func:`eq1_eq3` on this one ego network.
     """
     members = np.asarray(members)
     comm_ids = np.array([comm_of[u] for u in members])
-    comms, comm_idx, sizes = np.unique(comm_ids, return_inverse=True, return_counts=True)
     node_idx = pd.Index(members)
-    src = node_idx.get_indexer(ego_edges["src"])
-    dst = node_idx.get_indexer(ego_edges["dst"])
+    size, tight, x = eq1_eq3(
+        np.unique(comm_ids, return_inverse=True)[1],
+        node_idx.get_indexer(ego_edges["src"]),
+        node_idx.get_indexer(ego_edges["dst"]),
+        ego_edges[INTERACTION_DIMS].to_numpy(dtype=float),
+    )
+    return pd.DataFrame({
+        "member": members, "comm_id": comm_ids, "comm_size": size, "tightness": tight,
+        **dict(zip(X_COLS, x.T)),
+    })
+
+
+def eq1_eq3(comm: np.ndarray, src: np.ndarray, dst: np.ndarray, ivals: np.ndarray):
+    """Eq. 1 and Eq. 3 for the members of one or more ego networks at once.
+
+    ``comm`` gives each member its community, numbered 0..C-1 across all
+    the ego networks; ``src``/``dst`` are each edge's two members, as
+    indices into ``comm``, and ``ivals`` its (E, |I|) interaction
+    counters. Returns ``(comm_size, tightness, x)`` per member, ``x``
+    being the (N, |I|) Eq.-1 shares.
+    """
+    n = len(comm)
+    sizes = np.bincount(comm)
     # friend(u, G_v): degree inside the ego network
-    deg_ego = np.bincount(np.concatenate([src, dst]), minlength=len(members))
+    deg_ego = np.bincount(np.concatenate([src, dst]), minlength=n)
     # same-community edges
-    same = comm_idx[src] == comm_idx[dst]
+    same = comm[src] == comm[dst]
     s, d = src[same], dst[same]
     # friend(u, C): degree restricted to same-community edges
-    deg_comm = np.bincount(np.concatenate([s, d]), minlength=len(members))
+    deg_comm = np.bincount(np.concatenate([s, d]), minlength=n)
 
     # Eq. 1 numerator: per member, per dim, sum of interactions on
     # intra-community edges incident to the member, added edge by edge
     # (src, then dst) in edge order
-    ivals = ego_edges.loc[same, INTERACTION_DIMS].to_numpy(dtype=float)
-    num = np.zeros((len(members), len(INTERACTION_DIMS)))
-    np.add.at(num, np.column_stack([s, d]).ravel(), np.repeat(ivals, 2, axis=0))
+    ivals = ivals[same]
+    ends = np.column_stack([s, d]).ravel()
+    num = np.column_stack(
+        [np.bincount(ends, w, minlength=n) for w in np.repeat(ivals, 2, axis=0).T]
+    )
     # Eq. 1 denominator: total volume per dim inside each community
-    denom = np.zeros((len(comms), len(INTERACTION_DIMS)))
-    np.add.at(denom, comm_idx[s], ivals)
-    denom = denom[comm_idx]
+    denom = np.column_stack(
+        [np.bincount(comm[s], w, minlength=len(sizes)) for w in ivals.T]
+    )[comm]
 
-    size = sizes[comm_idx]
+    size = sizes[comm]
     fc, fe = deg_comm.astype(float), deg_ego.astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
         tight = np.where(
@@ -79,11 +104,7 @@ def community_member_features(
             np.where(fe > 0, fc / fe, 0.0) * (fc / (size - 1)),
         )
         x = np.where(denom > 0, num / denom, 0.0)
-    out = pd.DataFrame(
-        {"member": members, "comm_id": comm_ids, "comm_size": size, "tightness": tight}
-    )
-    out[X_COLS] = x
-    return out
+    return size, tight, x
 
 
 def top_k_matrix(rows, k: int) -> np.ndarray:

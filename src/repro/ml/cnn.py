@@ -52,18 +52,26 @@ def _im2col(X: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return cols.reshape(C * kh * kw, B * Ho * Wo)
 
 
-def _col2im(dcols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add (C*kh*kw, B*Ho*Wo)
-    patches back onto a (B,C,H,W) map (channel-major in memory)."""
+def _col2im(dcols: np.ndarray, shape: tuple, kh: int, kw: int, pad: int = 0) -> np.ndarray:
+    """Adjoint of :func:`_im2col` on ``X`` zero-padded by ``pad``:
+    scatter-add (C*kh*kw, B*Ho*Wo) patches back onto the unpadded
+    (B,C,H,W) map ``shape`` (channel-major in memory). Each kernel shift
+    adds only its block that lands inside the map; what falls on the
+    padding is dropped."""
     B, C, H, W = shape
-    if kh == kw == 1:
+    if kh == kw == 1 and not pad:
         return dcols.reshape(C, B, H, W).transpose(1, 0, 2, 3)
-    Ho, Wo = H - kh + 1, W - kw + 1
+    Ho, Wo = H + 2 * pad - kh + 1, W + 2 * pad - kw + 1
     d = dcols.reshape(C, kh, kw, B, Ho, Wo)
     dX = np.zeros((C, B, H, W), dtype=dcols.dtype)
     for i in range(kh):
+        # output rows y whose input row y + i - pad is inside the map
+        y0, y1 = max(pad - i, 0), min(Ho, H + pad - i)
         for j in range(kw):
-            dX[:, :, i : i + Ho, j : j + Wo] += d[:, i, j]
+            x0, x1 = max(pad - j, 0), min(Wo, W + pad - j)
+            dX[:, :, y0 + i - pad : y1 + i - pad, x0 + j - pad : x1 + j - pad] += (
+                d[:, i, j, :, y0:y1, x0:x1]
+            )
     return dX.transpose(1, 0, 2, 3)
 
 
@@ -85,9 +93,10 @@ class Conv2D:
         self.db = np.zeros_like(self.b)
 
     def forward(self, X):
+        self._X_shape = X.shape
         if self.pad:
             X = np.pad(X, ((0, 0), (0, 0), (self.pad, self.pad), (self.pad, self.pad)))
-        self._Xp_shape = B, _, H, W = X.shape
+        B, _, H, W = X.shape
         self._cols = _im2col(X, self.kh, self.kw)
         out = self.W @ self._cols
         out += self.b[:, None]
@@ -97,11 +106,7 @@ class Conv2D:
         dflat = dout.transpose(1, 0, 2, 3).reshape(self.c_out, -1)
         self.dW += dflat @ self._cols.T
         self.db += dflat.sum(axis=1)
-        dXp = _col2im(self.W.T @ dflat, self._Xp_shape, self.kh, self.kw)
-        if self.pad:
-            p = self.pad
-            dXp = dXp[:, :, p:-p, p:-p]
-        return dXp
+        return _col2im(self.W.T @ dflat, self._X_shape, self.kh, self.kw, self.pad)
 
 
 class ReLU:

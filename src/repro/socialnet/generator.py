@@ -16,10 +16,12 @@ that plants the three structural facts the paper's method exploits:
 3. Survey first-category ratios approximate Table I
    (family 28% / colleague 41% / schoolmate 15% / other 16%).
 
-Everything is deterministic in ``seed``. Generation runs in
-numpy/pandas on the driver (the network is the *input* of the
-reproduced system; the contribution under test is the Spark dataflow
-that consumes it) and is exported to Spark via :func:`to_spark`.
+Everything is deterministic in ``seed``. Generation runs in numpy on
+the driver (the network is the *input* of the reproduced system; the
+contribution under test is the Spark dataflow that consumes it): each
+circle, guest and the residual ties add one block of edge arrays, and
+each pandas frame is built once from the concatenated arrays. The
+frames are exported to Spark via :func:`to_spark`.
 """
 from __future__ import annotations
 
@@ -196,14 +198,10 @@ def _circle_rates(ctype: str, circle: np.ndarray, e: np.ndarray) -> np.ndarray:
     rates = np.tile(base, (len(e), 1))
     if len(e) == 0 or ctype == FAMILY:
         return rates
-    deg: dict = {int(u): 0 for u in circle}
-    for u, v in e:
-        deg[int(u)] += 1
-        deg[int(v)] += 1
-    denom = max(len(circle) - 1, 1)
-    avgc = np.array(
-        [(deg[int(u)] + deg[int(v)]) / (2.0 * denom) for u, v in e]
-    )
+    # each endpoint's degree inside the circle
+    ends = np.unique(e, return_inverse=True)[1].reshape(e.shape)
+    deg = np.bincount(ends.ravel())[ends]
+    avgc = (deg[:, 0] + deg[:, 1]) / (2.0 * max(len(circle) - 1, 1))
     if ctype == COLLEAGUE:
         # articles flow among the core, messaging dominates the fringe
         rates[:, 2] *= 0.35 + 1.3 * avgc  # i_like_art
@@ -258,20 +256,18 @@ def generate(config: NetConfig | None = None) -> SocialNetwork:
         COLLEAGUE: cfg.p_colleague_edge,
         SCHOOLMATE: cfg.p_schoolmate_edge,
     }
-    rate_cols = [f"_r{i}" for i in range(len(INTERACTION_DIMS))]
+    prio = {FAMILY: 0, COLLEAGUE: 1, SCHOOLMATE: 2, OTHER: 3}
+    # one (src, dst, priority, rates) block per circle, guest and the
+    # residual ties, concatenated once
+    blocks = []
 
-    def _frame(src, dst, label, rates):
-        f = pd.DataFrame({"src": src, "dst": dst, "label": label})
-        f[rate_cols] = np.asarray(rates, dtype=float)
-        return f
+    def _block(src, dst, label, rates):
+        blocks.append((src, dst, np.full(len(src), prio[label]), rates))
 
-    edge_frames = []
     for ctype, members_ in circles:
         e = _circle_edges(members_, p_by_type[ctype], g)
         if len(e):
-            edge_frames.append(
-                _frame(e[:, 0], e[:, 1], ctype, _circle_rates(ctype, members_, e))
-            )
+            _block(e[:, 0], e[:, 1], ctype, _circle_rates(ctype, members_, e))
         # guests (tour-guide impurity): an outsider who befriends most
         # of the circle and chats along, but is truly an "other" tie
         # with unrelated profile features
@@ -279,40 +275,34 @@ def generate(config: NetConfig | None = None) -> SocialNetwork:
             n_guests = 1 + int(g.random() < 0.5)
             for _ in range(n_guests):
                 guest = int(g.integers(0, n))
-                if guest in set(members_.tolist()):
+                if (members_ == guest).any():
                     continue
                 n_att = max(2, int(np.ceil(cfg.guest_attach * len(members_))))
                 att = g.choice(members_, size=min(n_att, len(members_)), replace=False)
                 grates = cfg.guest_rate_scale * np.array(INTERACTION_RATES[ctype])
-                edge_frames.append(
-                    _frame(np.full(len(att), guest), att, OTHER,
-                           np.tile(grates, (len(att), 1)))
-                )
+                _block(np.full(len(att), guest), att, OTHER, np.tile(grates, (len(att), 1)))
 
     n_other = int(cfg.other_edges_per_node * n)
     oa = g.integers(0, n, n_other)
     ob = g.integers(0, n, n_other)
     mask = oa != ob
-    edge_frames.append(
-        _frame(oa[mask], ob[mask], OTHER,
-               np.tile(INTERACTION_RATES[OTHER], (int(mask.sum()), 1)))
-    )
+    _block(oa[mask], ob[mask], OTHER,
+           np.tile(INTERACTION_RATES[OTHER], (int(mask.sum()), 1)))
 
-    edges = pd.concat(edge_frames, ignore_index=True)
-    lo = np.minimum(edges["src"], edges["dst"])
-    hi = np.maximum(edges["src"], edges["dst"])
-    edges["src"], edges["dst"] = lo, hi
+    src, dst, pri, rates = (np.concatenate(c) for c in zip(*blocks))
+    src, dst = np.minimum(src, dst), np.maximum(src, dst)
     # principal-type rule (paper Sec. III): an edge arising in several
     # circles keeps its principal type — family > colleague > schoolmate
-    # > other, implemented via the categorical sort below.
-    prio = {FAMILY: 0, COLLEAGUE: 1, SCHOOLMATE: 2, OTHER: 3}
-    edges["_prio"] = edges["label"].map(prio)
-    edges = (
-        edges.sort_values(["src", "dst", "_prio"], kind="stable")
-        .drop_duplicates(["src", "dst"], keep="first")
-        .drop(columns="_prio")
-        .reset_index(drop=True)
-    )
+    # > other: a stable sort by (src, dst, priority) keeps each pair's
+    # first row
+    order = np.lexsort((pri, dst, src))
+    src, dst = src[order], dst[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    keep = order[first]
+    labels = np.array(list(prio), dtype=object)  # the label of each priority
+    edges = pd.DataFrame({"src": src[first], "dst": dst[first], "label": labels[pri[keep]]})
+    rates = rates[keep]
 
     # --- user features ----------------------------------------------
     age = g.uniform(18, 70, n)
@@ -338,23 +328,23 @@ def generate(config: NetConfig | None = None) -> SocialNetwork:
     )
 
     # --- interactions ------------------------------------------------
-    rates = edges[rate_cols].to_numpy(dtype=float)
     intensity = g.lognormal(0.0, PAIR_INTENSITY_SIGMA, len(edges))
     counts = g.poisson(rates * intensity[:, None]).astype(np.int64)
     # sparsity mask: ~60% of connected pairs have zero interactions
     zero = g.random(len(edges)) < cfg.p_zero_interaction
     counts[zero] = 0
-    interactions = pd.DataFrame(counts, columns=INTERACTION_DIMS)
-    interactions.insert(0, "dst", edges["dst"].to_numpy())
-    interactions.insert(0, "src", edges["src"].to_numpy())
+    interactions = pd.DataFrame({
+        "src": edges["src"].to_numpy(),
+        "dst": edges["dst"].to_numpy(),
+        **dict(zip(INTERACTION_DIMS, counts.T)),
+    })
 
-    circle_rows = [
-        {"circle_id": idx, "ctype": ctype, "user_id": int(u)}
-        for idx, (ctype, members_) in enumerate(circles)
-        for u in members_
-    ]
-    circles_df = pd.DataFrame(circle_rows)
-    edges = edges.drop(columns=rate_cols)
+    sizes = [len(members_) for _, members_ in circles]
+    circles_df = pd.DataFrame({
+        "circle_id": np.repeat(np.arange(len(circles), dtype=np.int64), sizes),
+        "ctype": np.repeat(np.array([c for c, _ in circles], dtype=object), sizes),
+        "user_id": np.concatenate([m for _, m in circles]).astype(np.int64),
+    })
 
     return SocialNetwork(
         config=cfg,

@@ -85,6 +85,20 @@ def test_conv2d_forward_matches_direct_convolution(c_in, kh, kw, pad, H, W):
         np.testing.assert_allclose(conv.forward(x), expect, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("kh,kw,pad", [(3, 3, 1), (2, 3, 1), (3, 3, 2)])
+def test_padded_backward_equals_pad_then_crop(kh, kw, pad):
+    """Backward scatters straight into the unpadded map: exactly what
+    scattering onto the padded map and cropping the border gives."""
+    rng = np.random.default_rng(2)
+    conv = Conv2D(3, 4, kh, kw, pad=pad, rng=rng)
+    X = rng.normal(size=(2, 3, 6, 5))
+    dout = rng.normal(size=conv.forward(X).shape)
+    dX = conv.backward(dout)
+    padded = (2, 3, 6 + 2 * pad, 5 + 2 * pad)
+    full = _col2im(conv.W.T @ dout.transpose(1, 0, 2, 3).reshape(4, -1), padded, kh, kw)
+    assert np.array_equal(dX, full[:, :, pad:-pad, pad:-pad])
+
+
 @pytest.mark.parametrize("kh,kw,pad", [(3, 3, 1), (1, 4, 0), (5, 1, 0), (1, 1, 0)])
 def test_conv2d_gradients(kh, kw, pad):
     rng = np.random.default_rng(1)

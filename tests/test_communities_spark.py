@@ -1,12 +1,20 @@
 """Tests for the distributed Phase I (+Eq. 1/3) dataflow: the per-task
-Spark UDF must agree with a driver-side reference implementation."""
+pass must agree with a driver-side reference implementation, and its
+batch-at-once computation with one ego at a time."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core import features as FT
-from repro.core.communities import community_frame, member_features
+from repro.core.communities import (
+    _run_egos,
+    by_ego,
+    community_frame,
+    ego_edge_rows,
+    member_features,
+    member_records,
+)
 from repro.core.girvan_newman import girvan_newman
 from repro.oracle import assert_equivalent
 from repro.socialnet.generator import INTERACTION_DIMS, USER_FEATURES, NetConfig, generate, to_spark
@@ -183,3 +191,74 @@ def test_phase1_shuffles_four_times(spark, net):
     edges, inter, users = to_spark(spark, net)
     plan = member_features(spark, edges, inter, users)._jdf.queryExecution().executedPlan()
     assert sum("Exchange" in line for line in plan.toString().splitlines()) <= 4
+
+
+def test_phase1_pass_named_in_plan(spark, net):
+    """Phase I's ``mapInPandas`` function is named, so its plan node
+    (and the Spark UI stage) says which Python pass it is."""
+    edges, inter, users = to_spark(spark, net)
+    plan = member_features(spark, edges, inter, users)._jdf.queryExecution().executedPlan()
+    assert "MapInPandas _phase1_egos(" in plan.toString()
+
+
+def _degenerate_records(spark):
+    """Member records of egos 9000 (three friends, no edge among them),
+    9010 (a triangle, a pair and an isolated friend) and 9100 (85 friends
+    in a clique, 3570 edges: above Girvan–Newman's ``max_edges``, so its
+    components are kept), with random interaction counters."""
+    g = np.random.default_rng(5)
+    clique = np.arange(9200, 9285)
+    pairs = [(9000, f) for f in (9001, 9002, 9003)]
+    pairs += [(9010, f) for f in range(9011, 9017)]
+    pairs += [(9011, 9012), (9011, 9013), (9012, 9013), (9014, 9015)]
+    pairs += [(9100, int(f)) for f in clique]
+    pairs += [(int(a), int(b)) for i, a in enumerate(clique) for b in clique[i + 1:]]
+    e = pd.DataFrame(pairs, columns=["src", "dst"])
+    inter = e.assign(**{c: g.poisson(1.0, len(e)) for c in INTERACTION_DIMS})
+    users = pd.DataFrame({"user_id": np.unique(e.to_numpy())})
+    users = users.assign(**{c: g.random(len(users)) for c in USER_FEATURES})
+    rec = member_records(
+        spark.createDataFrame(e), spark.createDataFrame(inter), spark.createDataFrame(users)
+    ).toPandas()
+    return rec[rec["ego"].isin([9000, 9010, 9100])]
+
+
+def test_batch_pass_equals_one_ego_at_a_time(spark, net):
+    """``_run_egos`` on one batch mixing an ego without internal edges,
+    one with an isolated member, one above GN's ``max_edges`` and
+    ordinary ones equals its concatenated one-ego calls, exact values
+    and dtypes included; each ego's members arrive in shuffled order."""
+    edges, inter, users = to_spark(spark, net)
+    rec = member_records(edges, inter, users).toPandas()
+    ordinary = rec["ego"].value_counts().index[[0, 1, 50, 100, 150]]
+    batch = pd.concat([rec[rec["ego"].isin(ordinary)], _degenerate_records(spark)])
+    batch = batch.sample(frac=1.0, random_state=0)
+    batch = batch.sort_values("ego", kind="stable", ignore_index=True)
+    sizes = ego_edge_rows(batch)["ego"].value_counts()
+    assert 9000 not in sizes.index and sizes[9100] > 3000
+
+    got = _run_egos(batch)
+    want = pd.concat(
+        [_run_egos(rows) for _, rows in batch.groupby("ego", sort=True)], ignore_index=True
+    )
+    for f in (got, want):
+        f["rows"] = f["rows"].map(lambda v: None if v is None else tuple(v))
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+    assert len(got) == len(batch)
+    by = got.set_index(["ego", "member"])
+    assert (by.loc[9000, "comm_size"] == 1).all()
+    assert by.loc[(9010, 9016), "comm_size"] == 1 and by.loc[(9010, 9016), "tightness"] == 1.0
+    assert (by.loc[9100, "comm_size"] == 85).all()
+
+
+def test_by_ego_skips_empty_batches():
+    """Empty batches, the first one included, are skipped; ``fn`` still
+    sees whole egos and every row once."""
+    pdf = pd.DataFrame({"ego": [1, 1, 2, 3, 3], "v": range(5)})
+    empty = pdf.iloc[:0]
+    seen = []
+    out = list(by_ego([empty, pdf.iloc[:1], empty, pdf.iloc[1:4], empty, pdf.iloc[4:]],
+                      lambda p: seen.append(p["ego"].tolist()) or p))
+    assert seen == [[1, 1, 2], [3, 3]]
+    pd.testing.assert_frame_equal(pd.concat(out, ignore_index=True), pdf)
+    assert list(by_ego([empty], len)) == []

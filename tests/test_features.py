@@ -144,7 +144,7 @@ def test_build_matrix_tie_break_deterministic():
     df = _comm_feats(4)
     df["tightness"] = 0.5
     a = top_k_matrix(_rows(df), k=4)
-    # the UDF puts members back in member order, however they arrive
+    # Phase I puts members back in member order, however they arrive
     shuffled = df.sample(frac=1.0, random_state=3).sort_values("member")
     b = top_k_matrix(_rows(shuffled), k=4)
     assert np.allclose(a, b)

@@ -1,4 +1,6 @@
 """Tests for the planted-circle social-network generator."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -188,3 +190,40 @@ def test_to_spark_roundtrip(spark, net):
     assert inter.count() == net.n_edges
     assert users.count() == net.n_nodes
     assert set(inter.columns) == {"src", "dst", *INTERACTION_DIMS}
+
+
+def _digest(df: pd.DataFrame) -> str:
+    """sha256 of a frame's index kind and length, column order, dtypes
+    and values."""
+    h = hashlib.sha256(f"{type(df.index).__name__} {len(df)}\n".encode())
+    for c in df.columns:
+        col = df[c].to_numpy()
+        h.update(f"{c} {col.dtype}\n".encode())
+        h.update("\n".join(col).encode() if col.dtype == object else col.tobytes())
+    return h.hexdigest()
+
+
+LARGE_CIRCLES = {"dept_size_lo": 20, "dept_size_hi": 24, "class_size_lo": 20, "class_size_hi": 24}
+
+
+@pytest.mark.parametrize("cfg,want", [
+    (NetConfig(n_nodes=300, seed=1), {
+        "edges": "c0b7de1cc75e0a30eba32f0ecfba34a99215f06aa66c904fec06f81928c7614d",
+        "users": "1fc17dca112465b6403f8e14c79a8b701b66b3bc1f4e190d5020202448088618",
+        "interactions": "3e2b35eb04c97f93a296b30ce43caea0f7260a4143acc613b4e92232cb4a6108",
+        "circles": "e3a9465a68b4d6522c66e4d3e134b9fc9812ccdfa086777fab162b8b7bc5c769",
+    }),
+    (NetConfig(n_nodes=200, seed=1, **LARGE_CIRCLES), {
+        "edges": "ec0c5e0f6de94db08b6b84a61b4b227f8ff8825deec18eefaf175c32d8ae44f9",
+        "users": "ed4c550f1d293a9c725a68144b72d734e30ab4aeb87aadeb5063aad20d0d190c",
+        "interactions": "f323b850ddf46afe64891a29b0c6ea0d06c163d0a2321c131298f685534fa156",
+        "circles": "7bfd69f2d782ad36dcdac0d026288d750a84b2ae7ee2b157dd22a4fe110593b6",
+    }),
+], ids=["default_n300", "large_circles_n200"])
+def test_generated_frames_are_golden(cfg, want):
+    """The four frames are byte-identical to the ones recorded from the
+    per-circle DataFrame generator that the array one replaced (same RNG
+    draws, values, dtypes and column order), so a rewrite cannot change
+    the data silently."""
+    net = generate(cfg)
+    assert {f: _digest(getattr(net, f)) for f in want} == want

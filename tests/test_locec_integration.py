@@ -44,6 +44,16 @@ def test_python_stages_run_one_task_per_core(spark, result_xgb):
         assert df.rdd.getNumPartitions() == P
 
 
+def test_python_passes_named_in_plans(result_xgb):
+    """Each of the three Python passes has its own name in the plan."""
+    frames = {"_phase1_egos": result_xgb.member_df,
+              "_phase2_members": result_xgb.member_results,
+              "_phase3_edges": result_xgb.edge_pred}
+    for name, df in frames.items():
+        plan = df._jdf.queryExecution().analyzed().toString()
+        assert plan.startswith(f"MapInPandas {name}("), plan[:80]
+
+
 def test_predictions_are_major_types(result_xgb):
     preds = {r.pred for r in result_xgb.edge_pred.select("pred").distinct().collect()}
     assert preds.issubset(set(MAJOR_TYPES))
