@@ -21,7 +21,14 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 def adam_step(param, grad, m, v, t: int, lr: float) -> None:
     """One Adam update (step ``t`` ≥ 1) of ``param`` and its moment
-    estimates ``m``, ``v``, all in place."""
+    estimates ``m``, ``v``, all in place.
+
+    Performs Kingma & Ba's Algorithm 1 (ICLR 2015) element-wise, in that
+    order, bit for bit: ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g²``,
+    bias-corrected ``mhat``, ``vhat``, then ``param -= lr*mhat /
+    (sqrt(vhat) + eps)``. The gradients that callers pass in come from
+    BLAS and numpy's SIMD loops, so a fitted model's bits are reproducible
+    for a given seed on one machine and BLAS, not across CPUs."""
     b1, b2, eps = 0.9, 0.999, 1e-8
     m *= b1; m += (1 - b1) * grad
     v *= b2; v += (1 - b2) * grad**2

@@ -1,4 +1,6 @@
 """Tests for the from-scratch multinomial logistic regression."""
+import math
+
 import numpy as np
 import pytest
 
@@ -76,13 +78,47 @@ def test_binary_case():
     assert (m.predict(X) == y).mean() > 0.95
 
 
+def _adam_algorithm1(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Kingma & Ba, *Adam: A Method for Stochastic Optimization* (ICLR
+    2015), Algorithm 1, applied in place to flat lists of Python floats,
+    one element at a time. Each operation is one correctly rounded IEEE
+    operation, so the result does not depend on any numpy kernel."""
+    for i in range(len(p)):
+        m[i] = b1 * m[i] + (1 - b1) * g[i]
+        v[i] = b2 * v[i] + (1 - b2) * (g[i] * g[i])
+        mhat = m[i] / (1 - b1**t)
+        vhat = v[i] / (1 - b2**t)
+        p[i] = p[i] - lr * mhat / (math.sqrt(vhat) + eps)
+
+
 def test_fitted_params_pinned():
-    """Adam's in-place update order is part of the fitted model: these
-    exact bits change if ``adam_step`` reorders its arithmetic."""
+    """Adam's in-place update order is part of the fitted model: the
+    fitted bits must equal a replay of Adam's Algorithm 1, so they change
+    if ``adam_step`` reorders its arithmetic.
+
+    The expected bits are computed here, not recorded: the gradients come
+    from ``@`` and ``np.exp``, whose last bits depend on the GEMM kernel
+    OpenBLAS picks for the CPU and on numpy's SIMD dispatch. The replay
+    computes each step's gradients with ``fit``'s own numpy expressions
+    (same machine, same bits) and applies the Adam update in plain Python
+    floats."""
     X, y = _blobs(n=30, d=2)
     m = LogisticRegression(3, epochs=20).fit(X, y)
-    W = [["-0x1.bb89a130540b8p-1", "-0x1.4941039cac1f0p-1", "0x1.be261357ead82p-1"],
-         ["-0x1.bd23ff88ba1d6p-1", "0x1.507cd9f967a05p-1", "0x1.c114ee66491a3p-1"]]
-    b = ["-0x1.0e2bf08238c7ep-2", "0x1.267165530d448p-1", "-0x1.7b69f730598c8p-3"]
-    assert [[v.hex() for v in row] for row in m.W] == W
-    assert [v.hex() for v in m.b] == b
+
+    sd = X.std(axis=0)
+    Xs = (X - X.mean(axis=0)) / np.where(sd < 1e-9, 1.0, sd)
+    n, d = Xs.shape
+    Y = np.eye(3)[y]
+    W = np.random.default_rng(m.seed).normal(0, 0.01, (d, 3)).ravel().tolist()
+    b = [0.0] * 3
+    mW, vW, mb, vb = [0.0] * len(W), [0.0] * len(W), [0.0] * 3, [0.0] * 3
+    for t in range(1, m.epochs + 1):
+        Wa, ba = np.array(W).reshape(d, 3), np.array(b)
+        P = softmax(Xs @ Wa + ba)
+        gW = Xs.T @ (P - Y) / n + m.l2 * Wa
+        gb = (P - Y).mean(axis=0)
+        _adam_algorithm1(W, gW.ravel().tolist(), mW, vW, t, m.lr)
+        _adam_algorithm1(b, gb.tolist(), mb, vb, t, m.lr)
+
+    assert [v.hex() for v in m.W.ravel()] == [v.hex() for v in W]
+    assert [v.hex() for v in m.b] == [v.hex() for v in b]
