@@ -1,15 +1,16 @@
 """Phase II — community classification (paper Sec. IV-B).
 
-Phase I (:func:`repro.core.communities.member_features`) stores each
-local community's member rows once, read through
-:func:`repro.core.communities.community_frame`; each model below builds
-its own input from them. This module then runs:
+Phase I (:func:`repro.core.communities.member_features`) emits one row
+per (ego, member); :func:`repro.core.features.communities` groups them
+into local communities, each with its member array, from which each
+model below builds its own input. This module then runs:
 
 1. :func:`community_labels` — ground-truth labels for the communities
    that contain labeled edges: the majority relationship type between
    the ego and the community's labeled members (paper Sec. V-C).
-   :func:`labeled_communities` collects the labeled communities to the
-   driver, the one collect both ``run_locec`` and Table V train on.
+   :func:`labeled_communities` collects the labeled communities' member
+   rows to the driver, the one collect both ``run_locec`` and Table V
+   train on.
 2. :func:`train_community_model` — driver-side training of CommCNN or
    the GBDT on the labeled communities (the paper trains its model
    beforehand on the survey set, then broadcasts it to 100 servers).
@@ -31,7 +32,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import features as FT
-from repro.core.communities import by_ego, community_frame
+from repro.core.communities import by_ego
 from repro.ml.cnn import CNNConfig, CommCNN
 from repro.ml.gbdt import GBDT
 from repro.socialnet.generator import LABEL_TO_IDX, MAJOR_TYPES
@@ -81,20 +82,19 @@ def community_labels(member_df: DataFrame, labeled_edges: DataFrame) -> DataFram
 
 
 def labeled_communities(member_df: DataFrame, labeled_edges: DataFrame) -> pd.DataFrame:
-    """(ego, comm_id, size, rows, label, n_votes) of every community with
-    a :func:`community_labels` label, collected to the driver in
-    (ego, comm_id) order, so that the row order (Table V's random split
-    reads it) does not depend on Spark's plan."""
-    return (
-        community_frame(member_df)
-        .join(community_labels(member_df, labeled_edges), on=["ego", "comm_id"])
-        .toPandas()
-        .sort_values(["ego", "comm_id"], ignore_index=True)
-    )
+    """(ego, comm_id, size, label, n_votes, rows) of every community with
+    a :func:`community_labels` label: its member rows, collected to the
+    driver and grouped by :func:`features.communities` in (ego, comm_id)
+    order, so that the row order (Table V's random split reads it) does
+    not depend on Spark's plan."""
+    members = member_df.join(
+        community_labels(member_df, labeled_edges), on=["ego", "comm_id"]
+    ).toPandas()
+    return FT.communities(members)[0]
 
 
 def _model_input(rows: pd.Series, model) -> np.ndarray:
-    """``model``'s input for a batch of communities' member ``rows``:
+    """``model``'s input for a batch of communities' member arrays:
     Algorithm 1's k×(|I|+|f|) matrices for CommCNN, mean/std pooled
     vectors for the GBDT."""
     if isinstance(model, CommCNN):
@@ -112,12 +112,12 @@ def train_community_model(
 ):
     """Train the Phase II classifier on collected labeled communities.
 
-    ``labeled`` is a pandas frame with columns ego, comm_id, rows, label
-    (strings from MAJOR_TYPES). Rows are put in (ego, comm_id) order
-    first, so the model does not depend on the order in which Spark
-    collected them. ``variant`` picks the model: "cnn" (CommCNN over
-    top-``k`` matrices) or "xgb" (GBDT over pooled vectors). Returns the
-    fitted model.
+    ``labeled`` is a pandas frame with columns ego, comm_id, rows (each
+    community's member array) and label (strings from MAJOR_TYPES).
+    Rows are put in (ego, comm_id) order first, so the model does not
+    depend on the order in which Spark collected them. ``variant`` picks
+    the model: "cnn" (CommCNN over top-``k`` matrices) or "xgb" (GBDT
+    over pooled vectors). Returns the fitted model.
     """
     if labeled.empty:
         raise ValueError("no community has a train label")
@@ -138,7 +138,8 @@ def train_community_model(
 
 def predict_communities(model, pdf: pd.DataFrame) -> pd.DataFrame:
     """(ego, comm_id, p_*, emb) for the communities in ``pdf`` (columns
-    ego, comm_id, rows); the fitted ``model`` fixes its own input."""
+    ego, comm_id, rows, as :func:`features.communities` gives them); the
+    fitted ``model`` fixes its own input."""
     X = _model_input(pdf["rows"], model)
     probs = model.predict_proba(X)
     # r^C (paper Sec. IV-C): CommCNN's softmax vector, XGBoost's leaf values
@@ -153,13 +154,12 @@ def predict_communities(model, pdf: pd.DataFrame) -> pd.DataFrame:
 def predict_members(model, pdf: pd.DataFrame) -> pd.DataFrame:
     """(ego, member, tightness, p_*, emb) for every member row of ``pdf``,
     which holds each of its egos in full: each community is predicted
-    once, from its first member's ``rows``."""
-    comms = predict_communities(model, pdf[pdf["rows"].notna()])
-    # an exact lookup: a member whose community has no row raises KeyError
-    at = comms.set_index(["ego", "comm_id"]).loc[
-        pd.MultiIndex.from_arrays([pdf["ego"], pdf["comm_id"]])
-    ]
-    return pdf[["ego", "member", "tightness"]].assign(**{c: at[c].to_numpy() for c in at})
+    once, from its member rows, and its results go to each of them."""
+    comms, comm_of = FT.communities(pdf)
+    res = predict_communities(model, comms)
+    return pdf[["ego", "member", "tightness"]].assign(
+        **{c: res[c].to_numpy()[comm_of] for c in PROB_COLS + ["emb"]}
+    )
 
 
 def _infer_on_executors(

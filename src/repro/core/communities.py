@@ -1,4 +1,4 @@
-"""Phase I and each community's member rows, as one Spark dataflow.
+"""Phase I as one Spark dataflow: one row per (ego, member).
 
 The paper's parallel unit is the ego network: "each node is parsed
 separately in a streaming scheme in all three phases" (Sec. V-D). We
@@ -11,10 +11,10 @@ task streams its Arrow batches, each cut to whole egos: ego v's edges
 are its members' edges whose other end is also a member of v.
 Girvan–Newman runs on each ego network in turn, the only per-ego call;
 the edges, the Eq. 1 / Eq. 3 features and one output frame are built
-once per batch, one row per (ego, member). Each local community's member rows, from
-which Phase II builds each model's input, ride on the row of its first
-member, so :func:`community_frame` is a narrow projection, and Phase II
-inference walks the same partitions ego by ego through :func:`by_ego`.
+once per batch, one row per (ego, member), carrying the member's
+Eq. 1/3 features and its own ``f_*``. A local community is the set of
+its member rows; Phase II groups them with :func:`features.communities`
+as it walks the same partitions ego by ego through :func:`by_ego`.
 
 This replaces the GraphX/pregel sketch of the original system — GN is
 not a message-passing fixpoint, so the natural Spark formulation is
@@ -35,8 +35,7 @@ from repro.socialnet.generator import INTERACTION_DIMS, USER_FEATURES
 #: Phase I's output schema (one row per ego-network member).
 MEMBER_SCHEMA = (
     "ego long, member long, comm_id int, comm_size int, tightness double, "
-    + ", ".join(f"{c} double" for c in FT.X_COLS)
-    + ", rows array<double>"
+    + ", ".join(f"{c} double" for c in FT.X_COLS + USER_FEATURES)
 )
 
 
@@ -68,11 +67,8 @@ def _run_egos(pdf: pd.DataFrame) -> pd.DataFrame:
     ego order. Returns one :data:`MEMBER_SCHEMA` row per (ego, member),
     in (ego, member) order.
 
-    Girvan–Newman runs ego by ego; everything else runs once over the
-    batch: Eq. 1/3 on communities numbered across all its egos, and each
-    community's member rows, in member order (so that they, and the
-    last bits of sums over them, do not depend on the order Spark
-    delivers members in), put on the row of its first member.
+    Girvan–Newman runs ego by ego; Eq. 1/3 runs once over the batch, on
+    communities numbered across all its egos.
     """
     pdf = pdf.sort_values(["ego", "member"], kind="stable", ignore_index=True)
     ego, member = pdf["ego"].to_numpy(), pdf["member"].to_numpy()
@@ -107,15 +103,9 @@ def _run_egos(pdf: pd.DataFrame) -> pd.DataFrame:
     comm = comm_id + np.repeat(np.cumsum(n_comms) - n_comms, np.diff(bounds))
 
     size, tight, x = FT.eq1_eq3(comm, src, dst, eedges[INTERACTION_DIMS].to_numpy(dtype=float))
-
-    vals = np.column_stack([tight, x, pdf[USER_FEATURES].to_numpy(dtype=float)])
-    order = np.argsort(comm, kind="stable")
-    rows = [None] * len(pdf)
-    for idx in np.split(order, np.cumsum(np.bincount(comm))[:-1]):
-        rows[idx[0]] = vals[idx].ravel().tolist()
     return pd.DataFrame({
         "ego": ego, "member": member, "comm_id": comm_id, "comm_size": size, "tightness": tight,
-        **dict(zip(FT.X_COLS, x.T)), "rows": rows,
+        **dict(zip(FT.X_COLS, x.T)), **{c: pdf[c].to_numpy(dtype=float) for c in USER_FEATURES},
     })
 
 
@@ -191,10 +181,8 @@ def member_features(
     """Distributed Phase I + Eq. 1/3: one row per (ego, member).
 
     Columns: ego, member, comm_id (per-ego GN community), comm_size,
-    tightness, the 8 Eq.-1 interaction-share features ``x_*``, and the
-    community's member ``rows`` — one ``features.ROW_COLS`` row per
-    member, in member-id order, flattened — set on the community's
-    first member row and null on the others. Every friend of every node
+    tightness, the 8 Eq.-1 interaction-share features ``x_*`` and the
+    member's individual features ``f_*``. Every friend of every node
     appears exactly once per ego — LoCEC's guarantee that *every edge*
     later receives dense features.
 
@@ -207,13 +195,5 @@ def member_features(
         .repartition(P, "ego")
         .sortWithinPartitions("ego")
         .mapInPandas(_phase1_egos, schema=MEMBER_SCHEMA)
-    )
-
-
-def community_frame(member_df: DataFrame) -> DataFrame:
-    """(ego, comm_id, size, rows): one row per local community,
-    projected from :func:`member_features`'s output without a shuffle."""
-    return member_df.where(F.col("rows").isNotNull()).select(
-        "ego", "comm_id", F.col("comm_size").alias("size"), "rows"
     )
 

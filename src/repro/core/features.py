@@ -2,12 +2,10 @@
 and each model's input from one community's member rows.
 
 Pure pandas/numpy functions. Phase I (``repro.core.communities``) calls
-:func:`eq1_eq3` once per Arrow batch, on every ego network of the batch;
-:func:`community_member_features` is the same computation on ONE ego
-network, for tests and driver-side replays. Phase II
-(``repro.core.comm_classify``) calls :func:`top_k_matrix` (Algorithm 1) or
-:func:`mean_std` on ONE community's rows; tests call them directly on small
-hand-built networks.
+:func:`eq1_eq3` once per Arrow batch, on every ego network of the batch.
+Phase II (``repro.core.comm_classify``) groups member rows into local
+communities with :func:`communities`, then calls :func:`top_k_matrix`
+(Algorithm 1) or :func:`mean_std` on ONE community's member array.
 
 Interpretation note (Eq. 1): the paper's denominator is written
 ``Σ_{v∈C} I^j_vw`` with ``w`` undeclared. We read it as the total
@@ -28,39 +26,9 @@ from repro.socialnet.generator import INTERACTION_DIMS, USER_FEATURES
 X_COLS = [f"x_{c}" for c in INTERACTION_DIMS]
 #: Width of the community feature matrix: |I| + |f|.
 MATRIX_WIDTH = len(INTERACTION_DIMS) + len(USER_FEATURES)
-#: One member's row in a community's ``rows``: tightness, then its matrix row.
+#: One member's row in a community's member array: tightness, then its
+#: matrix row.
 ROW_COLS = ["tightness"] + X_COLS + USER_FEATURES
-
-
-def community_member_features(
-    members: np.ndarray,
-    comm_of: dict,
-    ego_edges: pd.DataFrame,
-) -> pd.DataFrame:
-    """Per-member Eq. 1 features and Eq. 3 tightness for one ego network.
-
-    ``members``: all friends in the ego network (isolated ones included).
-    ``comm_of``: {member: community id} from Girvan–Newman.
-    ``ego_edges``: columns src, dst plus the 8 ``i_*`` interaction
-    counters for edges *among the friends* (the ego's own incident
-    edges are excluded, per Phase I).
-
-    Returns one row per member: comm_id, comm_size, tightness, x_*:
-    :func:`eq1_eq3` on this one ego network.
-    """
-    members = np.asarray(members)
-    comm_ids = np.array([comm_of[u] for u in members])
-    node_idx = pd.Index(members)
-    size, tight, x = eq1_eq3(
-        np.unique(comm_ids, return_inverse=True)[1],
-        node_idx.get_indexer(ego_edges["src"]),
-        node_idx.get_indexer(ego_edges["dst"]),
-        ego_edges[INTERACTION_DIMS].to_numpy(dtype=float),
-    )
-    return pd.DataFrame({
-        "member": members, "comm_id": comm_ids, "comm_size": size, "tightness": tight,
-        **dict(zip(X_COLS, x.T)),
-    })
 
 
 def eq1_eq3(comm: np.ndarray, src: np.ndarray, dst: np.ndarray, ivals: np.ndarray):
@@ -107,16 +75,47 @@ def eq1_eq3(comm: np.ndarray, src: np.ndarray, dst: np.ndarray, ivals: np.ndarra
     return size, tight, x
 
 
+def communities(pdf: pd.DataFrame):
+    """Group member rows (ego, member, comm_id, comm_size, ``ROW_COLS``
+    and any per-community columns) into local communities.
+
+    Returns ``(comms, comm_of)``. ``comms`` has one row per community in
+    (ego, comm_id) order: ego, comm_id, ``size``, every other column
+    that is not a member's (such as a label), and ``rows``, the
+    community's (size, len(ROW_COLS)) member array in member-id order,
+    so that it, and the last bits of sums over it, do not depend on
+    the order the member rows arrive in. ``comm_of`` gives each row of
+    ``pdf`` the position of its community in ``comms``.
+    """
+    order = np.lexsort([pdf[c].to_numpy() for c in ("member", "comm_id", "ego")])
+    key = pdf[["ego", "comm_id"]].to_numpy()[order]
+    starts = np.ones(len(pdf), dtype=bool)
+    starts[1:] = (key[1:] != key[:-1]).any(axis=1)
+    comm_of = np.empty(len(pdf), dtype=np.int64)
+    comm_of[order] = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    comms = (
+        pdf.iloc[order[first]]
+        .drop(columns=["member", *ROW_COLS])
+        .rename(columns={"comm_size": "size"})
+        .reset_index(drop=True)
+    )
+    vals = pdf[ROW_COLS].to_numpy(dtype=float)[order]
+    bounds = np.append(first, len(pdf))
+    comms["rows"] = [vals[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return comms, comm_of
+
+
 def top_k_matrix(rows, k: int) -> np.ndarray:
     """Algorithm 1: the k×(|I|+|f|) feature matrix of one community.
 
-    ``rows`` is the community's flattened member rows in member-id order
-    (see ``ROW_COLS``). Members are sorted by descending tightness; the
+    ``rows`` is the community's (size, len(ROW_COLS)) member array in
+    member-id order. Members are sorted by descending tightness; the
     stable sort breaks ties by member id, for determinism — the paper's
     max-heap pop order. The top k rows [I_u^C, f_u] form the matrix,
     zero-padded when the community is smaller than k.
     """
-    members = np.asarray(rows, dtype=float).reshape(-1, len(ROW_COLS))
+    members = np.asarray(rows, dtype=float)
     top = members[np.argsort(-members[:, 0], kind="stable")[:k], 1:]
     mat = np.zeros((k, MATRIX_WIDTH))
     mat[: len(top)] = top
@@ -126,8 +125,9 @@ def top_k_matrix(rows, k: int) -> np.ndarray:
 def mean_std(rows) -> np.ndarray:
     """Mean/std pooling of member features (the LoCEC-XGB community
     representation — paper Sec. IV-B.2: "the mean and standard deviation
-    of each feature dimension regarding all nodes in a local community")."""
-    members = np.asarray(rows, dtype=float).reshape(-1, len(ROW_COLS))
+    of each feature dimension regarding all nodes in a local community");
+    ``rows`` is the community's (size, len(ROW_COLS)) member array."""
+    members = np.asarray(rows, dtype=float)
     # column-contiguous: numpy rounds an axis-0 sum over a row-major array
     # differently, and GBDT splits see the last bits
     vals = np.asfortranarray(members[:, 1:])

@@ -3,7 +3,7 @@
 ``run_locec`` wires the three phases over Spark DataFrames:
 
 - Phase I  (*division*):    ego networks + Girvan–Newman communities,
-  with every community's Eq. 1/3 member rows built in the same pass,
+  with every member's Eq. 1/3 features built in the same pass,
 - Phase II (*aggregation*): community labels + CommCNN/GBDT, trained
   on the one labeled-community collect Table V also uses and run ego by
   ego on Phase I's partitions, each member row with its community's r^C,

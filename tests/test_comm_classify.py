@@ -1,12 +1,12 @@
-"""Tests for Phase II: community matrices, labels, train + distributed
-inference over the member rows."""
+"""Tests for Phase II: community labels, train + distributed inference
+over the member rows."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import comm_classify as CC
 from repro.core import features as FT
-from repro.core.communities import community_frame, member_features
+from repro.core.communities import member_features
 from repro.oracle import assert_equivalent
 from repro.socialnet.generator import MAJOR_TYPES, NetConfig, generate, to_spark
 
@@ -21,36 +21,12 @@ def setup(spark):
         net.edges[net.edges["label"].isin(MAJOR_TYPES)]
     )
     labeled = CC.labeled_communities(member_df, labeled_edges)
-    matrices = community_frame(member_df)
-    return net, member_df, labeled, matrices
-
-
-def test_matrix_rows_one_per_community(setup):
-    net, member_df, labeled, matrices = setup
-    n_comms = member_df.select("ego", "comm_id").distinct().count()
-    assert matrices.count() == n_comms
-
-
-def test_matrix_flat_length(setup):
-    *_, matrices = setup
-    row = matrices.first()
-    assert len(row.rows) == row.size * len(FT.ROW_COLS)
-    assert FT.top_k_matrix(row.rows, 10).size == 10 * FT.MATRIX_WIDTH
-    assert len(FT.mean_std(row.rows)) == 2 * FT.MATRIX_WIDTH
-
-
-def test_matrix_zero_padding_small_communities(setup):
-    *_, matrices = setup
-    row = matrices.filter("size = 1").first()
-    assert len(row.rows) == len(FT.ROW_COLS)
-    m = FT.top_k_matrix(row.rows, 10)
-    assert m.shape == (10, FT.MATRIX_WIDTH)
-    assert (m[1:] == 0).all()
-    assert m[0].any()  # the lone member's features are in row 0
+    comms, _ = FT.communities(member_df.toPandas())
+    return net, member_df, labeled, comms
 
 
 def test_community_labels_majority(spark, setup):
-    net, member_df, labeled, matrices = setup
+    net, member_df, labeled, comms = setup
     labeled_edges = spark.createDataFrame(
         net.edges[net.edges["label"].isin(MAJOR_TYPES)]
     )
@@ -85,7 +61,7 @@ def test_community_labels_majority(spark, setup):
 def test_train_and_distributed_inference_agree(spark, setup, variant):
     """The ego-by-ego mapInPandas pass with broadcast weights must give
     every member row what a driver-side predict of its community gives."""
-    net, member_df, labeled, matrices = setup
+    net, member_df, labeled, comms = setup
     model = CC.train_community_model(
         labeled, variant=variant, k=10, seed=0, cnn_epochs=3, gbdt_rounds=5
     )
@@ -96,7 +72,7 @@ def test_train_and_distributed_inference_agree(spark, setup, variant):
     )
     local = (
         member_df.select("ego", "member", "comm_id", "tightness").toPandas()
-        .merge(CC.predict_communities(model, matrices.toPandas()), on=["ego", "comm_id"])
+        .merge(CC.predict_communities(model, comms), on=["ego", "comm_id"])
         .sort_values(["ego", "member"], ignore_index=True)
     )
     assert len(dist) == 2 * net.n_edges
@@ -110,23 +86,28 @@ def test_train_and_distributed_inference_agree(spark, setup, variant):
         assert np.allclose(np.asarray(a), np.asarray(b), atol=1e-9)
 
 
-def test_member_without_its_community_row_raises(setup):
-    """A member whose community has no ``rows`` row in its batch must
-    raise, not be handed another community's results."""
-    net, member_df, labeled, matrices = setup
-    model = CC.train_community_model(labeled, variant="xgb", k=10, gbdt_rounds=2)
-    pdf = member_df.where("comm_size > 1").toPandas()
-    ego, comm_id = pdf.loc[pdf["rows"].notna(), ["ego", "comm_id"]].iloc[0]
-    CC.predict_members(model, pdf)
-    lost = (pdf["ego"] == ego) & (pdf["comm_id"] == comm_id) & pdf["rows"].notna()
-    with pytest.raises(KeyError):
-        CC.predict_members(model, pdf[~lost])
+@pytest.mark.parametrize("variant", ["xgb", "cnn"])
+def test_predict_members_ignores_member_order(setup, variant):
+    """Every member gets the same results, bit for bit, whatever order
+    its ego's member rows come in."""
+    net, member_df, labeled, comms = setup
+    model = CC.train_community_model(
+        labeled, variant=variant, k=10, seed=0, cnn_epochs=3, gbdt_rounds=5
+    )
+    pdf = member_df.toPandas()
+    shuffled = pdf.sample(frac=1.0, random_state=7).sort_values("ego", kind="stable")
+    assert not np.array_equal(shuffled["member"], pdf["member"])
+    got, want = (
+        CC.predict_members(model, p).sort_values(["ego", "member"], ignore_index=True)
+        for p in (shuffled, pdf)
+    )
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
 
 
 @pytest.mark.parametrize("variant", ["xgb", "cnn"])
 def test_training_ignores_row_order(spark, setup, variant):
     """The model must not depend on the order Spark collects rows in."""
-    net, member_df, labeled, matrices = setup
+    net, member_df, labeled, comms = setup
 
     def probs(frame):
         model = CC.train_community_model(
@@ -139,7 +120,7 @@ def test_training_ignores_row_order(spark, setup, variant):
 
 
 def test_probs_are_distributions(spark, setup):
-    net, member_df, labeled, matrices = setup
+    net, member_df, labeled, comms = setup
     model = CC.train_community_model(labeled, variant="xgb", k=10, gbdt_rounds=5)
     out = CC.classify_communities(spark, member_df, model).toPandas()
     s = out[CC.PROB_COLS].sum(axis=1)

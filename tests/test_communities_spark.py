@@ -1,16 +1,16 @@
-"""Tests for the distributed Phase I (+Eq. 1/3) dataflow: the per-task
-pass must agree with a driver-side reference implementation, and its
-batch-at-once computation with one ego at a time."""
+"""Tests for the distributed Phase I (+Eq. 1/3) dataflow: its communities
+must be Girvan–Newman's, its member frame must equal a DuckDB SQL
+oracle, and its batch-at-once computation must equal one ego at a time."""
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql.types import ArrayType
 
 from repro.core import features as FT
 from repro.core.communities import (
     _run_egos,
     by_ego,
-    community_frame,
     ego_edge_rows,
     member_features,
     member_records,
@@ -32,15 +32,14 @@ def member_pdf(spark, net):
 
 
 def _reference_ego(net, ego):
-    """Driver-side reference: ego network, GN, features for one ego."""
+    """Driver-side reference: ego network and GN for one ego, as
+    {member: community id}."""
     e = net.edges
     nbrs = sorted(
         set(e.loc[e["src"] == ego, "dst"]) | set(e.loc[e["dst"] == ego, "src"])
     )
-    ee = e[e["src"].isin(nbrs) & e["dst"].isin(nbrs)][["src", "dst"]]
-    ee = ee.merge(net.interactions, on=["src", "dst"], how="left").fillna(0)
-    comm_of = girvan_newman(nbrs, list(zip(ee["src"], ee["dst"])))
-    return FT.community_member_features(np.array(nbrs), comm_of, ee)
+    ee = e[e["src"].isin(nbrs) & e["dst"].isin(nbrs)]
+    return girvan_newman(nbrs, list(zip(ee["src"], ee["dst"])))
 
 
 def test_every_friendship_covered_both_ways(net, member_pdf):
@@ -56,22 +55,87 @@ def test_member_count_is_twice_edges(net, member_pdf):
 
 @pytest.mark.parametrize("ego_rank", [0, 1, 2])
 def test_spark_matches_reference(net, member_pdf, ego_rank):
-    """Per-ego features from the Spark UDF equal the driver reference."""
+    """Per-ego communities from the Spark UDF are Girvan–Newman's on the
+    ego network built on the driver: the same members, and the same
+    partition (ids may be permuted). Eq. 1/3 on them is checked by
+    :func:`test_member_frame_oracle`."""
     egos = member_pdf["ego"].value_counts().index  # busiest egos first
     ego = int(egos[ego_rank])
-    got = (
-        member_pdf[member_pdf["ego"] == ego]
-        .sort_values("member")
-        .reset_index(drop=True)
-    )
-    ref = _reference_ego(net, ego).sort_values("member").reset_index(drop=True)
-    assert got["member"].tolist() == ref["member"].tolist()
-    # same community *partition* (ids may be permuted)
+    got = member_pdf[member_pdf["ego"] == ego]
+    ref = pd.Series(_reference_ego(net, ego))
+    assert sorted(got["member"]) == sorted(ref.index)
     got_part = got.groupby("comm_id")["member"].agg(frozenset)
-    ref_part = ref.groupby("comm_id")["member"].agg(frozenset)
+    ref_part = pd.Series(ref.index, index=ref.to_numpy()).groupby(level=0).agg(frozenset)
     assert set(got_part) == set(ref_part)
-    for col in ["tightness"] + FT.X_COLS:
-        assert np.allclose(got[col], ref[col], atol=1e-9), col
+
+
+def test_member_frame_oracle(spark, net):
+    """The whole member frame equals DuckDB SQL over the input tables,
+    given Spark's comm_id: comm_size, Eq. 3 tightness (1 for a
+    singleton), the Eq. 1 shares (0 on zero volume) and ``f_*`` (0 for
+    a member without a ``users`` row). A third of the interactions rows
+    and a fifth of the users rows are dropped to exercise the zeros.
+    Every column is scalar."""
+    e = net.edges[["src", "dst"]]
+    inter = net.interactions[net.interactions["src"] % 3 != 0]
+    users = net.users[net.users["user_id"] % 5 != 0]
+    member_df = member_features(
+        spark, spark.createDataFrame(e), spark.createDataFrame(inter),
+        spark.createDataFrame(users),
+    )
+    assert not any(isinstance(f.dataType, ArrayType) for f in member_df.schema)
+    dims = INTERACTION_DIMS
+    counters = ", ".join(f"coalesce(i.{c}, 0) AS {c}" for c in dims)
+    same = ", ".join(f"sum(CASE WHEN same THEN {c} ELSE 0 END) AS n_{c}" for c in dims)
+    shares = ", ".join(
+        f"CASE WHEN v.v_{c} > 0 THEN d.n_{c} / v.v_{c} ELSE 0.0 END AS x_{c}" for c in dims
+    )
+    feats = ", ".join(f"coalesce(u.{c}, 0.0) AS {c}" for c in USER_FEATURES)
+    assert_equivalent(
+        member_df,
+        f"""
+        WITH adj AS (
+            SELECT src AS ego, dst AS member FROM e
+            UNION ALL SELECT dst AS ego, src AS member FROM e
+        ), ee AS (
+            SELECT a1.ego AS ego, e.src AS src, e.dst AS dst, {counters}
+            FROM e
+            JOIN adj a1 ON a1.member = e.src
+            JOIN adj a2 ON a2.member = e.dst AND a2.ego = a1.ego
+            LEFT JOIN i ON i.src = e.src AND i.dst = e.dst
+        ), pair AS (
+            SELECT ee.*, ms.comm_id = md.comm_id AS same, ms.comm_id AS comm_id
+            FROM ee
+            JOIN m ms ON ms.ego = ee.ego AND ms.member = ee.src
+            JOIN m md ON md.ego = ee.ego AND md.member = ee.dst
+        ), ends AS (
+            SELECT ego, src AS member, * EXCLUDE (ego, src, dst) FROM pair
+            UNION ALL SELECT ego, dst AS member, * EXCLUDE (ego, src, dst) FROM pair
+        ), deg AS (
+            SELECT ego, member, count(*) AS fe,
+                   count(*) FILTER (WHERE same) AS fc, {same}
+            FROM ends GROUP BY ego, member
+        ), vol AS (
+            SELECT ego, comm_id, {", ".join(f"sum({c}) AS v_{c}" for c in dims)}
+            FROM pair WHERE same GROUP BY ego, comm_id
+        ), sz AS (
+            SELECT ego, comm_id, count(*) AS comm_size FROM m GROUP BY ego, comm_id
+        )
+        SELECT m.ego AS ego, m.member AS member, m.comm_id AS comm_id,
+               sz.comm_size AS comm_size,
+               CASE WHEN sz.comm_size = 1 THEN 1.0
+                    WHEN d.fe > 0 THEN d.fc / d.fe * d.fc / (sz.comm_size - 1)
+                    ELSE 0.0 END AS tightness,
+               {shares}, {feats}
+        FROM m
+        JOIN sz ON sz.ego = m.ego AND sz.comm_id = m.comm_id
+        LEFT JOIN deg d ON d.ego = m.ego AND d.member = m.member
+        LEFT JOIN vol v ON v.ego = m.ego AND v.comm_id = m.comm_id
+        LEFT JOIN u ON u.user_id = m.member
+        """,
+        e=e, i=inter, u=users,
+        m=member_df.select("ego", "member", "comm_id").toPandas(),
+    )
 
 
 def test_tightness_bounds(member_pdf):
@@ -102,8 +166,8 @@ def test_singletons_have_tightness_one(member_pdf):
 
 def test_member_missing_from_users_gets_zero_features(spark, net):
     """A friend with no users-table row still gets a member row in every
-    ego network (2|E| rows in all), with f_* = 0 in its community's rows;
-    every other member keeps its own features."""
+    ego network (2|E| rows in all), with f_* = 0; every other member
+    keeps its own features."""
     edges, inter, users = to_spark(spark, net)
     missing = int(net.edges[["src", "dst"]].stack().value_counts().index[0])
     pdf = member_features(
@@ -112,27 +176,19 @@ def test_member_missing_from_users_gets_zero_features(spark, net):
     assert len(pdf) == 2 * net.n_edges
     want = net.users.set_index("user_id")[USER_FEATURES]
     want.loc[missing] = 0.0
-    f_cols = [FT.ROW_COLS.index(c) for c in USER_FEATURES]
-    holding = pdf.loc[pdf["member"] == missing, ["ego", "comm_id"]]
-    assert len(holding) == (net.edges[["src", "dst"]] == missing).to_numpy().sum()
-    for ego, comm_id in holding.itertuples(index=False):
-        comm = pdf[(pdf["ego"] == ego) & (pdf["comm_id"] == comm_id)]
-        (rows,) = comm["rows"].dropna()
-        got = np.asarray(rows).reshape(len(comm), len(FT.ROW_COLS))[:, f_cols]
-        assert np.array_equal(got, want.loc[sorted(comm["member"])].to_numpy())
+    n_friends = (net.edges[["src", "dst"]] == missing).to_numpy().sum()
+    assert (pdf["member"] == missing).sum() == n_friends
+    assert np.array_equal(pdf[USER_FEATURES].to_numpy(), want.loc[pdf["member"]].to_numpy())
 
 
 def _collected(df, key):
-    """``df`` as pandas in ``key`` order, array columns as tuples."""
-    pdf = df.toPandas().sort_values(key, ignore_index=True)
-    pdf["rows"] = pdf["rows"].map(lambda v: None if v is None else tuple(v))
-    return pdf
+    """``df`` as pandas in ``key`` order."""
+    return df.toPandas().sort_values(key, ignore_index=True)
 
 
 def test_outputs_independent_of_shuffle_partitions(spark):
-    """Member rows and the community rows riding on them must not change
-    with the number of shuffle partitions (AQE coalescing off, so 8
-    really means 8)."""
+    """Member rows must not change with the number of shuffle partitions
+    (AQE coalescing off, so 8 really means 8)."""
     net = generate(NetConfig(n_nodes=120, seed=37))
     keys = ("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
     saved = {c: spark.conf.get(c) for c in keys}
@@ -142,18 +198,11 @@ def test_outputs_independent_of_shuffle_partitions(spark):
         for n in (1, 8):
             spark.conf.set("spark.sql.shuffle.partitions", n)
             edges, inter, users = to_spark(spark, net)
-            member_df = member_features(spark, edges, inter, users)
-            runs.append((
-                _collected(member_df, ["ego", "member"]),
-                _collected(community_frame(member_df), ["ego", "comm_id"]),
-            ))
+            runs.append(_collected(member_features(spark, edges, inter, users), ["ego", "member"]))
     finally:
         for c, v in saved.items():
             spark.conf.set(c, v)
-    (members_1, comms_1), (members_8, comms_8) = runs
-    assert len(comms_1) == members_1.groupby(["ego", "comm_id"]).ngroups
-    pd.testing.assert_frame_equal(members_1, members_8, check_exact=True)
-    pd.testing.assert_frame_equal(comms_1, comms_8, check_exact=True)
+    pd.testing.assert_frame_equal(*runs, check_exact=True)
 
 
 def test_egos_straddling_arrow_batches(spark, net):
@@ -241,8 +290,6 @@ def test_batch_pass_equals_one_ego_at_a_time(spark, net):
     want = pd.concat(
         [_run_egos(rows) for _, rows in batch.groupby("ego", sort=True)], ignore_index=True
     )
-    for f in (got, want):
-        f["rows"] = f["rows"].map(lambda v: None if v is None else tuple(v))
     pd.testing.assert_frame_equal(got, want, check_exact=True)
     assert len(got) == len(batch)
     by = got.set_index(["ego", "member"])

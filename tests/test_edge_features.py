@@ -7,7 +7,8 @@ from pyspark.sql import functions as F
 
 from repro.core import comm_classify as CC
 from repro.core import edge_features as EF
-from repro.core.communities import community_frame, member_features
+from repro.core import features as FT
+from repro.core.communities import member_features
 from repro.socialnet.generator import MAJOR_TYPES, NetConfig, generate, to_spark
 
 
@@ -33,7 +34,7 @@ def setup(phase2):
     net, edges, member_df, labeled, model, member_res = phase2
     feats = EF.edge_features(member_res).cache()
     feats.count()
-    comm_res = CC.predict_communities(model, community_frame(member_df).toPandas())
+    comm_res = CC.predict_communities(model, FT.communities(member_df.toPandas())[0])
     return net, edges, member_df, comm_res, feats
 
 
